@@ -72,6 +72,17 @@ def load_graph(spec: str) -> Graph:
     )
 
 
+def parse_dilation(text: str) -> Fraction:
+    """A nonnegative rational dilation written as an integer or p/q."""
+    try:
+        t = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"dilation {text!r} is not a rational number p/q") from exc
+    if t < 0:
+        raise UsageError(f"dilation {text!r} is negative")
+    return t
+
+
 def frac_str(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -191,7 +202,7 @@ def cmd_wnni_apply(args) -> int:
 
 def cmd_ehrhart_count(args) -> int:
     g = load_graph(args.graph)
-    t = Fraction(args.t)
+    t = parse_dilation(args.t)
     if args.method == "backtracking":
         count = count_backtracking(inequality_system(g), t)
     else:
@@ -235,7 +246,7 @@ def cmd_ehrhart_volume(args) -> int:
 
 def cmd_ehrhart_semireflexive(args) -> int:
     g = load_graph(args.graph)
-    report = semi_reflexive_check(g, [Fraction(s) for s in args.samples])
+    report = semi_reflexive_check(g, [parse_dilation(s) for s in args.samples])
     emit(
         {
             "samples": [
@@ -263,7 +274,7 @@ def _decomposition_payload(d) -> dict:
                     for vec, sense in piece.constraints
                 ],
                 "matrix": [list(row) for row in piece.matrix],
-                "determinant": int(determinant(piece.matrix)),
+                "determinant": determinant(piece.matrix),
             }
             for piece in d.pieces
         ],

@@ -1,5 +1,5 @@
-"""Small exact linear algebra helpers: integer matrices, Fraction elimination,
-and a tableau simplex specialized to strict-feasibility questions.
+"""Small exact linear algebra helpers: integer matrices, integer and Fraction
+elimination, and a tableau simplex specialized to strict-feasibility questions.
 
 Everything here is exact; no floats.
 """
@@ -31,41 +31,49 @@ def vecmat(v: Sequence[int], a: IntMatrix) -> tuple[int, ...]:
     return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0])))
 
 
+def divide_gcd(vec: Sequence[int]) -> tuple[int, ...]:
+    """Divide an integer vector by the gcd of its entries; signs are kept."""
+    g = gcd(*vec)
+    return tuple(x // g for x in vec) if g > 1 else tuple(vec)
+
+
 def primitive(vec: Sequence[int]) -> tuple[int, ...]:
     """Divide by the gcd and flip signs so the first nonzero entry is positive."""
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return tuple(vec)
-    out = [x // g for x in vec]
+    out = divide_gcd(vec)
     for x in out:
         if x > 0:
-            return tuple(out)
+            return out
         if x < 0:
             return tuple(-y for y in out)
-    return tuple(out)
+    return out
 
 
-def determinant(m: IntMatrix) -> Fraction:
+def determinant(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    After step k every entry below and right of the pivot is a (k+1)-minor of
+    the input, so each division by the previous pivot is exact and all
+    intermediate values stay integers.
+    """
     n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for row in a[k + 1 :]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
+        prev = pivot
+    return sign * a[n - 1][n - 1] if n else 1
 
 
 def solve_square(m: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:

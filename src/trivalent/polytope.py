@@ -45,18 +45,6 @@ class InequalitySystem:
     rows: tuple[Row, ...]
     box: str = "nonneg"
 
-    def rhs(self, row: Row, t: Fraction) -> Fraction:
-        _, alpha, beta = row
-        return alpha * t + beta
-
-    def dilate_unit(self) -> "InequalitySystem":
-        """Rows for the t-th dilate of the t=1 body: rhs (alpha+beta)*t."""
-        return InequalitySystem(
-            self.edge_order,
-            tuple((c, a + b, 0) for c, a, b in self.rows),
-            self.box,
-        )
-
 
 def _vertex_slot_rows(slots: Sequence[int], idx: Mapping[int, int], width: int) -> list[tuple[int, ...]]:
     """Metric rows for one vertex, one per slot instance, built additively."""

@@ -11,27 +11,37 @@ Cones are intersections of constraints  n.x >= 0  (weak) and  n.x < 0
 (strict) with normals pulled back through the accumulated matrices.  Children
 whose cone misses the source polytope are discarded.  Emptiness is decided
 over the homogeneous part of the polytope's system (the metric cone; the
-perimeter rows scale away) by exact certificates: every piece carries a
-rational witness point that lands in exactly one child per move, constraint
+perimeter rows scale away) by exact certificates: every piece carries an
+integer witness point that lands in exactly one child per move, constraint
 bookkeeping catches duplicated or contradicted half-spaces, and for the rest
-a float LP proposes either an interior point or a Farkas combination, which
-is then validated in exact rational arithmetic (exact simplex as fallback).
+a float LP proposes either an interior point or a Farkas combination.  Every
+row is homogeneous, so any positive multiple of either is again a
+certificate: the proposal is rounded, scaled to a nonnegative integer vector
+and validated in integer arithmetic, with the exact simplex as the fallback.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .counting import iter_lattice_points
-from .exactlin import IntMatrix, determinant, identity, max_epsilon, matvec, vecmat
+from .exactlin import (
+    IntMatrix,
+    determinant,
+    divide_gcd,
+    identity,
+    max_epsilon,
+    matvec,
+    vecmat,
+)
 from .graphs import Graph, GraphError
 from .nni import MoveSequence, apply_nni
 from .polytope import inequality_system
-from .weighted import NniSite, case_matrix, resolve_site, weight_delta
+from .weighted import NniSite, resolve_site, site_normals, weight_delta
 
 WEAK = ">="
 STRICT = "<"
@@ -41,8 +51,15 @@ Constraint = tuple[tuple[int, ...], str]
 
 @dataclass(frozen=True)
 class Piece:
+    """A half-open cone, its matrix, and an integer point of the cone.
+
+    The witness lies in the metric cone of the source, so it is a lattice
+    point of every source dilate large enough to hold it.
+    """
+
     constraints: tuple[Constraint, ...]
     matrix: IntMatrix
+    witness: tuple[int, ...]
 
     def claims(self, w: Sequence[Fraction]) -> bool:
         for vec, sense in self.constraints:
@@ -63,27 +80,6 @@ class Decomposition:
     moves: MoveSequence
     edge_order: tuple[int, ...]
     pieces: tuple[Piece, ...]
-
-
-def _reduce(vec: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in vec) if g > 1 else tuple(vec)
-
-
-def _site_normals(site: NniSite, edge_order: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    idx = {e: i for i, e in enumerate(edge_order)}
-    h1 = [0] * len(edge_order)
-    h2 = [0] * len(edge_order)
-    a, b = site.trail.a, site.trail.b
-    c, d = site.c, site.d
-    for vec, pos, neg in ((h1, (a, c), (b, d)), (h2, (a, d), (b, c))):
-        for e in pos:
-            vec[idx[e]] += 1
-        for e in neg:
-            vec[idx[e]] -= 1
-    return tuple(h1), tuple(h2)
 
 
 _CASE_SENSES = {
@@ -154,22 +150,23 @@ def _float_lp(
     T[: nrows, m + 1 : m + 1 + nrows] = np.eye(nrows)
     T[nrows, m] = 1.0  # objective: maximize eps
     basis = list(range(m + 1, m + 1 + nrows))
+    ratios = np.empty(nrows)
     for _ in range(200):
         obj = T[nrows, :ncols]
-        entering = int(np.argmax(obj))
+        entering = int(obj.argmax())
         if obj[entering] <= 1e-9:
             break
         col = T[:nrows, entering]
         mask = col > 1e-9
         if not mask.any():
             return None  # unbounded should not happen (eps <= 1)
-        ratios = np.where(mask, T[:nrows, ncols] / np.where(mask, col, 1.0), np.inf)
-        leave = int(np.argmin(ratios))
-        piv = T[leave, entering]
-        T[leave] /= piv
+        ratios.fill(np.inf)
+        np.divide(T[:nrows, ncols], col, out=ratios, where=mask)
+        leave = int(ratios.argmin())
+        T[leave] /= T[leave, entering]
         factors = T[:, entering].copy()
         factors[leave] = 0.0
-        T -= np.outer(factors, T[leave])
+        T -= factors[:, None] * T[leave]
         basis[leave] = entering
     else:
         return None
@@ -182,24 +179,46 @@ def _float_lp(
     return eps, x, duals
 
 
-def _round_fraction(x: float, limit: int = 10**6) -> Fraction:
-    return Fraction(x).limit_denominator(limit)
+_ZERO_TOL = 1e-12
+_DENOMINATOR_LIMIT = 10**6
+_ZERO = Fraction(0)
+
+
+def _round(values: Iterable[float]) -> list[Fraction]:
+    """Nearby nonnegative rationals; entries at or below _ZERO_TOL become 0."""
+    return [
+        Fraction(v).limit_denominator(_DENOMINATOR_LIMIT) if v > _ZERO_TOL else _ZERO
+        for v in values
+    ]
+
+
+def _clear_denominators(values: Sequence[Fraction]) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of a rational vector."""
+    den = lcm(*(v.denominator for v in values))
+    return divide_gcd([v.numerator * (den // v.denominator) for v in values])
+
+
+def _dot(vec: Sequence[int], x: Sequence[int]) -> int:
+    return sum(c * v for c, v in zip(vec, x))
 
 
 def _certify(
     constraints: Sequence[Constraint],
     cone: list[tuple[tuple[int, ...], int]],
     m: int,
-) -> tuple[Fraction, ...] | None:
-    """A point of the half-open cone inside the body, or None if empty.
+) -> tuple[int, ...] | None:
+    """An integer point of the half-open cone inside the body, or None if empty.
 
-    A float LP proposes the answer; a rounded primal point (nonempty) or a
-    rounded Farkas combination (empty) is then checked in exact arithmetic.
-    Only when neither certificate validates does the exact simplex run.
+    A float LP proposes the answer: a primal point (nonempty) or Farkas
+    multipliers (empty).  It is rounded to rationals and scaled to a
+    nonnegative integer vector, which every row being homogeneous allows, and
+    then checked exactly in integer arithmetic.  Only when neither
+    certificate validates does the exact simplex run; its point is scaled to
+    integers the same way.
     """
     strict_vecs = [vec for vec, sense in constraints if sense == STRICT]
     if not strict_vecs:
-        return tuple(Fraction(0) for _ in range(m))  # the origin qualifies
+        return (0,) * m  # the origin qualifies
     weak_vecs = [vec for vec, _ in cone]
     weak_vecs += [
         tuple(-x for x in vec) for vec, sense in constraints if sense == WEAK
@@ -208,29 +227,20 @@ def _certify(
     if sol is not None:
         eps, x_f, duals = sol
         if eps > 1e-7:
-            x = tuple(max(_round_fraction(v), Fraction(0)) for v in x_f)
-            if all(
-                sum(c * v for c, v in zip(vec, x)) <= 0 for vec in weak_vecs
-            ) and all(
-                sum(c * v for c, v in zip(vec, x)) < 0 for vec in strict_vecs
+            x = _clear_denominators(_round(x_f))
+            if all(_dot(vec, x) <= 0 for vec in weak_vecs) and all(
+                _dot(vec, x) < 0 for vec in strict_vecs
             ):
                 return x
         else:
-            y = [max(_round_fraction(v), Fraction(0)) for v in duals]
-            y_weak = y[: len(weak_vecs)]
-            y_strict = y[len(weak_vecs) :]
+            y = _clear_denominators(_round(duals))
+            n_weak = len(weak_vecs)
             # y >= 0 with y.W + y.S >= 0 coordinatewise and sum over strict
             # rows positive forces eps <= 0 for every feasible point
-            if sum(y_strict) > 0 and all(
-                sum(
-                    yv * vec[j]
-                    for yv, vec in zip(y_weak, weak_vecs)
-                )
-                + sum(yv * vec[j] for yv, vec in zip(y_strict, strict_vecs))
-                >= 0
-                for j in range(m)
-            ):
-                return None
+            if any(y[n_weak:]):
+                used = [(yv, vec) for yv, vec in zip(y, weak_vecs + strict_vecs) if yv]
+                if all(sum(yv * vec[j] for yv, vec in used) >= 0 for j in range(m)):
+                    return None
     eps, x = max_epsilon(
         [(vec, 0) for vec in weak_vecs],
         [(vec, 0) for vec in strict_vecs],
@@ -238,7 +248,7 @@ def _certify(
         point=True,
         early_positive=True,
     )
-    return x if eps > 0 else None
+    return _clear_denominators(x) if eps > 0 else None
 
 
 def _apply_case(matrix: IntMatrix, site: NniSite, case: str, idx: Mapping[int, int]) -> IntMatrix:
@@ -260,43 +270,42 @@ def _apply_case(matrix: IntMatrix, site: NniSite, case: str, idx: Mapping[int, i
 def build_decomposition(g: Graph, seq: MoveSequence) -> Decomposition:
     """Split the source polytope along the sequence's case hyperplanes.
 
-    Every surviving piece is nonempty inside the source polytope (witness
-    point or exact-LP certificate); piece matrices all have determinant +1.
+    Every surviving piece is nonempty inside the source polytope and carries
+    an integer witness point; piece matrices all have determinant +1.
     """
     edge_order = g.edges
     m = len(edge_order)
     idx = {e: i for i, e in enumerate(edge_order)}
     cone = _cone_rows(g)
-    pieces: list[Piece] = [Piece((), identity(m))]
-    # uniform weights satisfy every metric row with slack, so they are a
+    # all-ones weights satisfy every metric row with slack, so they are a
     # valid starting witness for the unconstrained root piece
-    witnesses: list[tuple[Fraction, ...]] = [tuple(Fraction(1, 4) for _ in range(m))]
+    pieces: list[Piece] = [Piece((), identity(m), (1,) * m)]
     current = g
     for trail in seq.moves:
         site = resolve_site(current, trail)
-        h1, h2 = _site_normals(site, edge_order)
+        h1, h2 = site_normals(site, edge_order)
         next_pieces: list[Piece] = []
-        next_witnesses: list[tuple[Fraction, ...]] = []
-        for piece, wit in zip(pieces, witnesses):
+        for piece in pieces:
             p1 = vecmat(h1, piece.matrix)
             p2 = vecmat(h2, piece.matrix)
-            s1 = sum(c * x for c, x in zip(p1, wit))
-            s2 = sum(c * x for c, x in zip(p2, wit))
+            s1 = _dot(p1, piece.witness)
+            s2 = _dot(p2, piece.witness)
+            normals = (divide_gcd(p1), divide_gcd(p2))
             for case, senses in _CASE_SENSES.items():
                 constraints = list(piece.constraints)
                 dead = False
-                for vec, sense in zip((p1, p2), senses):
-                    if all(x == 0 for x in vec):
+                for vec, sense in zip(normals, senses):
+                    if not any(vec):
                         if sense == STRICT:
                             dead = True  # 0 < 0 never holds
                             break
                         continue  # 0 >= 0 always holds
-                    verdict = _classify_constraint(constraints, _reduce(vec), sense)
+                    verdict = _classify_constraint(constraints, vec, sense)
                     if verdict == _DEAD:
                         dead = True
                         break
                     if verdict == _ADD:
-                        constraints.append((_reduce(vec), sense))
+                        constraints.append((vec, sense))
                 if dead:
                     continue
                 wa, wb = senses
@@ -304,17 +313,19 @@ def build_decomposition(g: Graph, seq: MoveSequence) -> Decomposition:
                     (s2 >= 0) == (wb == WEAK)
                 )
                 if witness_here:
-                    point = wit
+                    point = piece.witness
                 else:
                     point = _certify(constraints, cone, m)
                     if point is None:
                         continue
                 next_pieces.append(
-                    Piece(tuple(constraints), _apply_case(piece.matrix, site, case, idx))
+                    Piece(
+                        tuple(constraints),
+                        _apply_case(piece.matrix, site, case, idx),
+                        point,
+                    )
                 )
-                next_witnesses.append(point)
         pieces = next_pieces
-        witnesses = next_witnesses
         current = apply_nni(current, trail)
     return Decomposition(
         source=g,
@@ -370,7 +381,7 @@ def verify_decomposition(d: Decomposition, dilations: Iterable[int]) -> Verifica
     weighted replay; and the image multiset is exactly the target dilate's
     lattice-point set.
     """
-    dets = tuple(int(determinant(p.matrix)) for p in d.pieces)
+    dets = tuple(determinant(p.matrix) for p in d.pieces)
     src = inequality_system(d.source)
     tgt = inequality_system(d.target)
     m = len(d.edge_order)

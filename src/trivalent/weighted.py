@@ -173,21 +173,36 @@ def case_matrix(
     return tuple(tuple(r) for r in rows)
 
 
+def site_normals(
+    site: NniSite, edge_order: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Normals of h1 and h2 in edge_order coordinates, neither reduced nor
+    sign-normalized.
+
+    Built additively, so coinciding slots add up or cancel (a zero normal is
+    a degenerate hyperplane).
+    """
+    idx = {eid: i for i, eid in enumerate(edge_order)}
+    a, b, c, d = site.trail.a, site.trail.b, site.c, site.d
+    out = []
+    for pos, neg in (((a, c), (b, d)), ((a, d), (b, c))):
+        vec = [0] * len(edge_order)
+        for e in pos:
+            vec[idx[e]] += 1
+        for e in neg:
+            vec[idx[e]] -= 1
+        out.append(tuple(vec))
+    return out[0], out[1]
+
+
 def site_hyperplanes(
     site: NniSite, edge_order: Sequence[int]
 ) -> list[tuple[int, ...]]:
     """Normals of h1 and h2 in edge_order coordinates; zero normals dropped,
     duplicates up to sign merged."""
-    idx = {eid: i for i, eid in enumerate(edge_order)}
-    n = len(edge_order)
     out: list[tuple[int, ...]] = []
-    for pos_pair, neg_pair in ((("a", "c"), ("b", "d")), (("a", "d"), ("b", "c"))):
-        vec = [0] * n
-        for name in pos_pair:
-            vec[idx[_slot_id(site, name)]] += 1
-        for name in neg_pair:
-            vec[idx[_slot_id(site, name)]] -= 1
-        if all(x == 0 for x in vec):
+    for vec in site_normals(site, edge_order):
+        if not any(vec):
             continue
         norm = _sign_normalize(vec)
         if norm not in out:
@@ -195,7 +210,7 @@ def site_hyperplanes(
     return out
 
 
-def _sign_normalize(vec: list[int]) -> tuple[int, ...]:
+def _sign_normalize(vec: Sequence[int]) -> tuple[int, ...]:
     for x in vec:
         if x > 0:
             return tuple(vec)

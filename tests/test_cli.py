@@ -113,6 +113,24 @@ def test_ehrhart_count(capsys):
     assert payload["count"] == 5
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [(("ehrhart", "count", "claw"), "-t"), (("ehrhart", "semireflexive", "claw"), "-s")],
+)
+@pytest.mark.parametrize(
+    "dilation, code",
+    [("5/2", 0), ("1/0", 2), ("-3", 2), ("-1/2", 2), ("two", 2)],
+)
+def test_dilation_exit_codes(capsys, command, flag, dilation, code):
+    # "--flag=value" keeps argparse from reading a leading "-" as an option
+    assert main([*command, f"{flag}={dilation}"]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: dilation ")
+    else:
+        assert err == ""
+
+
 def test_ehrhart_qp(capsys):
     payload = run_json(capsys, "ehrhart", "qp", "claw")
     assert payload["period"] == 2

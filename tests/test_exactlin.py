@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 from trivalent.exactlin import (
     determinant,
+    divide_gcd,
     identity,
     matmul,
     matvec,
@@ -34,11 +36,70 @@ def test_primitive():
     assert primitive((0, 0, 0)) == (0, 0, 0)
 
 
+def test_divide_gcd():
+    assert divide_gcd((2, -4, 6)) == (1, -2, 3)
+    assert divide_gcd((0, 0, -3)) == (0, 0, -1)  # sign kept
+    assert divide_gcd((0, 0, 0)) == (0, 0, 0)
+    assert divide_gcd((3, 5)) == (3, 5)
+
+
 def test_determinant():
+    assert determinant(()) == 1
     assert determinant(identity(4)) == 1
     assert determinant(((2, 0), (0, 3))) == 6
     assert determinant(((1, 2), (2, 4))) == 0
     assert determinant(((0, 1), (1, 0))) == -1
+    assert type(determinant(((2, 1), (1, 1)))) is int
+
+
+def _fraction_determinant(m):
+    """Reference: Gaussian elimination over the rationals with row swaps."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def _random_matrices(rng, n):
+    """Dense, sparse (zero pivots force row swaps) and rank-deficient matrices."""
+    dense = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    sparse = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
+    yield dense
+    yield sparse
+    yield [row[:] for row in reversed(dense)]  # odd permutations flip the sign
+    if n >= 2:
+        singular = [row[:] for row in dense]
+        i, j = rng.sample(range(n), 2)
+        k = rng.randint(-3, 3)
+        singular[i] = [k * x for x in singular[j]]
+        yield singular
+
+
+def test_determinant_matches_fraction_elimination():
+    rng = random.Random(20180221)
+    seen = {"negative": 0, "zero": 0, "swap": 0}
+    for n in range(9):
+        for _ in range(25):
+            for m in _random_matrices(rng, n):
+                expected = _fraction_determinant(m)
+                got = determinant(tuple(map(tuple, m)))
+                assert type(got) is int
+                assert got == expected, m
+                seen["negative"] += got < 0
+                seen["zero"] += got == 0
+                seen["swap"] += n > 0 and m[0][0] == 0
+    assert all(seen.values()), seen
 
 
 def test_solve_square():

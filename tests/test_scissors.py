@@ -1,18 +1,24 @@
 """Half-open decomposition: frozen small case plus structural checks."""
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from trivalent.catalog import dumbbell, theta
+from trivalent import scissors
+from trivalent.catalog import dumbbell, k4, t4, theta
 from trivalent.counting import count_points
 from trivalent.exactlin import determinant
 from trivalent.graphs import GraphError, same_labeled_graph
 from trivalent.nni import MoveSequence, Trail, graph_sequence
+from trivalent.polytope import contains, inequality_system
 from trivalent.scissors import (
+    STRICT,
+    WEAK,
     build_decomposition,
     evaluate_piecewise,
     verify_decomposition,
 )
+from trivalent.weighted import replay_weighted
 
 F = Fraction
 
@@ -86,3 +92,104 @@ def test_rejects_wrong_source():
     seq = graph_sequence(theta(), dumbbell())
     with pytest.raises(GraphError):
         build_decomposition(dumbbell(), seq)
+
+
+def _check_every_piece(d):
+    m = len(d.edge_order)
+    n = len(d.pieces)
+    witnesses = np.array([p.witness for p in d.pieces], dtype=np.int64).reshape(n, m)
+    assert np.abs(witnesses).max() < 2**20  # keeps every product below inside int64
+
+    # each witness is claimed by its own piece and by no other
+    claimed = np.zeros(n, dtype=np.int64)
+    owners = np.full(n, -1, dtype=np.int64)
+    for i, piece in enumerate(d.pieces):
+        rows = np.array([vec for vec, _ in piece.constraints], dtype=np.int64).reshape(-1, m)
+        strict = np.array([sense == STRICT for _, sense in piece.constraints], dtype=bool)
+        values = rows @ witnesses.T
+        mask = (values[~strict] >= 0).all(axis=0) & (values[strict] < 0).all(axis=0)
+        claimed += mask
+        owners[mask] = i
+    assert (claimed == 1).all()
+    assert (owners == np.arange(n)).all()
+
+    # the metric rows hold in every dilate, so the largest perimeter sum is
+    # the least dilate t of the source that holds the witness
+    src = inequality_system(d.source)
+    rows = np.array([c for c, _, _ in src.rows], dtype=np.int64).reshape(-1, m)
+    t_rows = np.array([alpha for _, alpha, _ in src.rows], dtype=bool)
+    assert not any(beta for _, _, beta in src.rows)
+    values = witnesses @ rows.T
+    assert (values[:, ~t_rows] <= 0).all()
+    dilates = np.maximum(values[:, t_rows].max(axis=1), 0)
+
+    # the piece matrix agrees with weighted replay, and the image lies in the
+    # same dilate of the target
+    matrices = np.array([p.matrix for p in d.pieces], dtype=np.int64).reshape(n, m, m)
+    images = np.einsum("pij,pj->pi", matrices, witnesses)
+    tgt = inequality_system(d.target)
+    for piece, image, t in zip(d.pieces, images.tolist(), dilates.tolist()):
+        _, replayed = replay_weighted(d.source, dict(zip(d.edge_order, piece.witness)), d.moves.moves)
+        assert [replayed[e] for e in d.edge_order] == image
+        assert contains(tgt, image, t)
+
+
+def test_every_theta_piece_exercised(theta_decomposition):
+    _check_every_piece(theta_decomposition)
+
+
+def test_every_k4_t4_piece_exercised():
+    d = build_decomposition(k4(), graph_sequence(k4(), t4()))
+    assert len(d.pieces) == 3961
+    _check_every_piece(d)
+
+
+def _satisfies(constraints, cone, x) -> bool:
+    """x meets the cone rows and the constraints, strict ones strictly."""
+    def dot(vec):
+        return sum(c * v for c, v in zip(vec, x))
+
+    weak = [vec for vec, _ in cone] + [tuple(-c for c in vec) for vec, s in constraints if s == WEAK]
+    strict = [vec for vec, s in constraints if s == STRICT]
+    return all(dot(vec) <= 0 for vec in weak) and all(dot(vec) < 0 for vec in strict)
+
+
+# theta's metric cone with w_1 > w_2 (nonempty), and with w_1 > w_2 + w_3,
+# which contradicts the metric row w_1 <= w_2 + w_3 (empty)
+NONEMPTY = [((-1, 1, 0), STRICT), ((0, 0, 1), WEAK)]
+EMPTY = [((-1, 1, 1), STRICT)]
+
+
+def _no_simplex(*args, **kwargs):
+    raise AssertionError("the exact simplex ran")
+
+
+def test_certify_nonempty_gives_integer_point(monkeypatch):
+    monkeypatch.setattr(scissors, "max_epsilon", _no_simplex)
+    cone = scissors._cone_rows(theta())
+    x = scissors._certify(NONEMPTY, cone, 3)
+    assert x is not None and all(type(v) is int for v in x)
+    assert _satisfies(NONEMPTY, cone, x)
+
+
+def test_certify_empty_by_farkas(monkeypatch):
+    monkeypatch.setattr(scissors, "max_epsilon", _no_simplex)
+    assert scissors._certify(EMPTY, scissors._cone_rows(theta()), 3) is None
+
+
+def test_certify_falls_back_to_exact_simplex(monkeypatch):
+    calls = []
+    exact = scissors.max_epsilon
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(scissors, "_float_lp", lambda *args: None)
+    monkeypatch.setattr(scissors, "max_epsilon", spy)
+    cone = scissors._cone_rows(theta())
+    x = scissors._certify(NONEMPTY, cone, 3)
+    assert x is not None and all(type(v) is int for v in x)
+    assert _satisfies(NONEMPTY, cone, x)
+    assert scissors._certify(EMPTY, cone, 3) is None
+    assert len(calls) == 2
