@@ -394,9 +394,8 @@ def verify_decomposition(d: Decomposition, dilations: Iterable[int]) -> Verifica
         sites.append(resolve_site(cur, trail))
         cur = apply_nni(cur, trail)
 
-    entries = [x for p in d.pieces for row in p.matrix for x in row]
-    entries += [x for p in d.pieces for vec, _ in p.constraints for x in vec]
-    if max((abs(x) for x in entries), default=0) >= _INT64_SAFE:
+    rows = (row for p in d.pieces for row in (*p.matrix, *(vec for vec, _ in p.constraints)))
+    if max((abs(x) for row in rows for x in row), default=0) >= _INT64_SAFE:
         raise GraphError("matrix entries too large for vectorized verification")
     piece_data = []
     for p in d.pieces:

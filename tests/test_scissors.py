@@ -1,4 +1,5 @@
 """Half-open decomposition: frozen small case plus structural checks."""
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -92,6 +93,19 @@ def test_rejects_wrong_source():
     seq = graph_sequence(theta(), dumbbell())
     with pytest.raises(GraphError):
         build_decomposition(dumbbell(), seq)
+
+
+@pytest.mark.parametrize("field", ["matrix", "constraints"])
+def test_verify_refuses_entries_beyond_int64_guard(theta_decomposition, field):
+    d = theta_decomposition
+    piece = d.pieces[0]
+    big = 2**40
+    if field == "matrix":
+        piece = replace(piece, matrix=((1, 0, 0), (0, 1, 0), (big, 0, 1)))
+    else:
+        piece = replace(piece, constraints=(((-big, 1, 0), STRICT),))
+    with pytest.raises(GraphError, match="too large"):
+        verify_decomposition(replace(d, pieces=(piece, *d.pieces[1:])), range(2))
 
 
 def _check_every_piece(d):
