@@ -16,12 +16,12 @@ all comparisons happen in integers.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .graphs import Graph, GraphError, validate_13
-from .polytope import InequalitySystem, inequality_system, reflexive_system
+from .polytope import InequalitySystem, inequality_system
 
 _INT64_LIMIT = 2**62
 
@@ -130,31 +130,35 @@ def iter_lattice_points(sys: InequalitySystem, t) -> Iterator[tuple[int, ...]]:
     yield from descend(0, [0] * nrows)
 
 
+# -- local indicator ----------------------------------------------------------
+
+
+def _slot_indicator(
+    vals: np.ndarray, p: int, q: int, kind: str, strict: bool, dtype
+) -> np.ndarray:
+    """0/1 tensor over vals^3: the rows of one vertex on its three slot values.
+
+    A vertex whose slots repeat an edge (a loop) takes the diagonal of this
+    tensor, so one tensor serves every degree-3 vertex of a graph.
+    """
+    if kind == "membership":
+        # perimeter <= t, then the three metric rows <= 0
+        bounds = (p, 0, 0, 0)
+    elif kind == "reflexive":
+        # the four sign patterns, each <= t
+        bounds = (p, p, p, p)
+    else:
+        raise GraphError(f"unknown system kind {kind!r}")
+    a = q * vals[:, None, None]
+    b = q * vals[None, :, None]
+    c = q * vals[None, None, :]
+    ind = np.ones((len(vals),) * 3, dtype=bool)
+    for row, bound in zip((a + b + c, a - b - c, b - a - c, c - a - b), bounds):
+        ind &= (row < bound) if strict else (row <= bound)
+    return ind.astype(dtype)
+
+
 # -- tree dynamic programming -------------------------------------------------
-
-_indicator_cache: dict[tuple[int, int, int], np.ndarray] = {}
-
-
-def _triple_indicator(floor_t: int, p: int, q: int) -> np.ndarray:
-    """0/1 tensor over [0, floor_t]^3: perimeter <= t plus the three metric rows."""
-    key = (floor_t, p, q)
-    cached = _indicator_cache.get(key)
-    if cached is not None:
-        return cached
-    ar = np.arange(floor_t + 1, dtype=np.int64)
-    a = ar[:, None, None]
-    b = ar[None, :, None]
-    c = ar[None, None, :]
-    ind = (
-        (q * (a + b + c) <= p)
-        & (a <= b + c)
-        & (b <= a + c)
-        & (c <= a + b)
-    ).astype(np.int64)
-    if len(_indicator_cache) > 32:
-        _indicator_cache.clear()
-    _indicator_cache[key] = ind
-    return ind
 
 
 def count_tree_dp(g: Graph, t) -> int:
@@ -175,7 +179,8 @@ def count_tree_dp(g: Graph, t) -> int:
     m = len(g.edges)
     if (floor_t + 1) ** m >= _INT64_LIMIT:
         raise GraphError("count too large for int64 message passing")
-    ind = _triple_indicator(floor_t, p, q)
+    vals = np.arange(floor_t + 1, dtype=np.int64)
+    ind = _slot_indicator(vals, p, q, "membership", False, np.int64)
     internal = [v for v in sorted(g.vertex_ids) if g.degrees[v] == 3]
     root = internal[0]
 
@@ -211,31 +216,32 @@ def count_tree_dp(g: Graph, t) -> int:
 # -- vertex elimination for general graphs ------------------------------------
 
 
-def _vertex_conditions(
-    g: Graph, v: int, kind: str
-) -> list[tuple[dict[int, int], int, int]]:
-    """Conditions at one degree-3 vertex as (coeff-by-edge, alpha, beta)."""
-    slots = g.slots(v)
-    conds: list[tuple[dict[int, int], int, int]] = []
-    if kind == "membership":
-        perim: dict[int, int] = {}
-        for s in slots:
-            perim[s] = perim.get(s, 0) + 1
-        conds.append((perim, 1, 0))
-        for i in range(3):
-            cm: dict[int, int] = {}
-            for j, s in enumerate(slots):
-                cm[s] = cm.get(s, 0) + (1 if j == i else -1)
-            conds.append((cm, 0, 0))
-    elif kind == "reflexive":
-        for pat in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
-            cm = {}
-            for sign, s in zip(pat, slots):
-                cm[s] = cm.get(s, 0) + sign
-            conds.append((cm, 1, 0))
-    else:
-        raise GraphError(f"unknown system kind {kind!r}")
-    return conds
+def _contract(
+    frontier: np.ndarray, tensor: np.ndarray, shared: tuple[list[int], list[int]]
+) -> np.ndarray:
+    """Sum frontier x tensor over the paired axes in ``shared``.
+
+    The result keeps the unpaired frontier axes, then the unpaired tensor
+    axes, as np.tensordot orders them.  tensordot copies an operand whose
+    summed axes are not contiguous; when the result is smaller than the
+    frontier, the contraction runs in slabs along the first kept frontier
+    axis, so each copy is one slab and the peak stays near the frontier's
+    size.
+    """
+    f_shared, t_shared = shared
+    kept = [k for k in range(frontier.ndim) if k not in f_shared]
+    new_ndim = tensor.ndim - len(t_shared)
+    if not kept or new_ndim >= len(f_shared):
+        return np.tensordot(frontier, tensor, axes=shared)
+    k0 = kept[0]
+    slab_shared = [k - (k > k0) for k in f_shared]
+    out_shape = [frontier.shape[k] for k in kept] + [
+        n for k, n in enumerate(tensor.shape) if k not in t_shared
+    ]
+    out = np.empty(out_shape, dtype=frontier.dtype)
+    for i, slab in enumerate(np.moveaxis(frontier, k0, 0)):
+        out[i] = np.tensordot(slab, tensor, axes=(slab_shared, t_shared))
+    return out
 
 
 def count_elimination(
@@ -247,6 +253,14 @@ def count_elimination(
     dilates of the reflexive candidate (variables range over [-t, t]).
     strict=True counts strict interiors.  Works for any graph accepted by
     validate_13, including graphs with loops, parallel edges and cycles.
+
+    Each step is one tensor contraction run by BLAS in float64, which is
+    exact here: a frontier entry counts the assignments of the edges closed
+    so far, so it is a nonnegative integer of at most len(vals)**m, and every
+    partial sum of nonnegative products is bounded by its final entry.  While
+    len(vals)**m < 2**53 every intermediate value is therefore an integer
+    that float64 represents exactly.  From 2**53 up to the int64 limit the
+    same contraction runs on int64 arrays; beyond it the count is refused.
     """
     validate_13(g)
     t = Fraction(t)
@@ -259,8 +273,11 @@ def count_elimination(
     else:
         vals = np.arange(-floor_t, floor_t + 1, dtype=np.int64)
     m = len(g.edges)
-    if len(vals) ** m >= _INT64_LIMIT:
+    bound = len(vals) ** m
+    if bound >= _INT64_LIMIT:
         raise GraphError("count too large for int64 contraction")
+    dtype = np.float64 if bound < 2**53 else np.int64
+    ind = _slot_indicator(vals, p, q, kind, strict, dtype)
 
     internal_vertices = [v for v in sorted(g.vertex_ids) if g.degrees[v] == 3]
     # an edge stays "open" until every degree-3 endpoint has been processed
@@ -268,39 +285,26 @@ def count_elimination(
     for e, u, w in g.edge_list:
         owners[e] = {x for x in (u, w) if g.degrees[x] == 3}
 
+    def open_axes(v: int) -> list[int]:
+        return [e for e in g.incident_edges(v) if owners[e] != {v}]
+
     def vertex_tensor(v: int) -> tuple[list[int], np.ndarray]:
-        axes = list(g.incident_edges(v))
-        shape = [len(vals)] * len(axes)
-        acc = np.ones(shape, dtype=bool)
-        for cm, alpha, beta in _vertex_conditions(g, v, kind):
-            lhs = np.zeros(shape, dtype=np.int64)
-            for e, cval in cm.items():
-                k = axes.index(e)
-                view = [1] * len(axes)
-                view[k] = len(vals)
-                lhs = lhs + (q * cval) * vals.reshape(view)
-            rhs = alpha * p + beta * q
-            acc &= (lhs < rhs) if strict else (lhs <= rhs)
-        tensor = acc.astype(np.int64)
-        # close out edges whose only degree-3 endpoint is v (pendants, loops)
-        keep, out_axes = [], []
-        for k, e in enumerate(axes):
-            if owners[e] == {v}:
-                keep.append(k)
-            else:
-                out_axes.append(e)
-        for k in sorted(keep, reverse=True):
-            tensor = tensor.sum(axis=k)
-        return out_axes, tensor
+        # slot letters repeat for a loop (diagonal); edges whose only
+        # degree-3 endpoint is v (pendants, loops) are summed out
+        slots = g.slots(v)
+        letter = {e: "abc"[i] for i, e in enumerate(dict.fromkeys(slots))}
+        axes = open_axes(v)
+        script = (
+            "".join(letter[e] for e in slots)
+            + "->"
+            + "".join(letter[e] for e in axes)
+        )
+        return axes, np.einsum(script, ind)
 
     remaining = list(internal_vertices)
     frontier_axes: list[int] = []
-    frontier = np.array(1, dtype=np.int64)
+    frontier = np.ones((), dtype=dtype)
     processed: set[int] = set()
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-    def open_axes(v: int) -> list[int]:
-        return [e for e in g.incident_edges(v) if owners[e] != {v}]
 
     def frontier_growth(v: int) -> int:
         new = set(frontier_axes) | set(open_axes(v))
@@ -311,18 +315,15 @@ def count_elimination(
         remaining.remove(best)
         axes, tensor = vertex_tensor(best)
         processed.add(best)
-        all_axes = list(dict.fromkeys(frontier_axes + axes))
-        letter = {e: letters[i] for i, e in enumerate(all_axes)}
-        out = [e for e in all_axes if not owners[e] <= processed]
-        script = (
-            "".join(letter[e] for e in frontier_axes)
-            + ","
-            + "".join(letter[e] for e in axes)
-            + "->"
-            + "".join(letter[e] for e in out)
+        # an edge on both sides has both endpoints processed now: it closes
+        shared = (
+            [k for k, e in enumerate(frontier_axes) if e in axes],
+            [axes.index(e) for e in frontier_axes if e in axes],
         )
-        frontier = np.einsum(script, frontier, tensor)
-        frontier_axes = out
+        frontier = _contract(frontier, tensor, shared)
+        frontier_axes = [e for e in frontier_axes if e not in axes] + [
+            e for e in axes if e not in frontier_axes
+        ]
 
     if frontier_axes:
         raise AssertionError("unclosed axes after processing all vertices")

@@ -143,28 +143,25 @@ def verlinde_count(n: int, t: int, precision: int | None = None) -> int:
         raise GraphError("t must be an odd positive integer")
     start = precision or int(os.environ.get("TRIVALENT_VERLINDE_PREC", "80"))
     prec = max(start, 20)
-    iv = mpmath.iv
-    saved = iv.prec
-    try:
-        while prec <= 4096:
-            iv.prec = prec
-            total = iv.mpf(0)
-            pi = iv.pi
-            for j in range(1, t + 2):
-                s = iv.sin(pi * j / (t + 2))
-                total += (1 / s) ** n
-            value = total * iv.mpf(t + 2) ** (n // 2) / iv.mpf(2) ** (n + 1)
-            # endpoints are zero-width intervals; pick the candidate in plain
-            # floats, then certify against the enclosure itself
-            lo = mpmath.mpf(value.a)
-            hi = mpmath.mpf(value.b)
-            k = int(mpmath.nint((lo + hi) / 2))
-            diff = value - k
-            if mpmath.mpf(diff.a) > -0.25 and mpmath.mpf(diff.b) < 0.25:
-                return k
-            prec *= 2
-    finally:
-        iv.prec = saved
+    # a private context, so the shared mpmath.iv precision is never touched
+    iv = mpmath.ctx_iv.MPIntervalContext()
+    while prec <= 4096:
+        iv.prec = prec
+        total = iv.mpf(0)
+        pi = iv.pi
+        for j in range(1, t + 2):
+            s = iv.sin(pi * j / (t + 2))
+            total += (1 / s) ** n
+        value = total * iv.mpf(t + 2) ** (n // 2) / iv.mpf(2) ** (n + 1)
+        # endpoints are zero-width intervals; pick the candidate in plain
+        # floats, then certify against the enclosure itself
+        lo = mpmath.mpf(value.a)
+        hi = mpmath.mpf(value.b)
+        k = int(mpmath.nint((lo + hi) / 2))
+        diff = value - k
+        if mpmath.mpf(diff.a) > -0.25 and mpmath.mpf(diff.b) < 0.25:
+            return k
+        prec *= 2
     raise GraphError("interval evaluation failed to certify an integer")
 
 

@@ -250,6 +250,7 @@ def _longest_path(g: Graph) -> list[int]:
 
 
 def _caterpillarize(t: Graph) -> tuple[list[Trail], Graph]:
+    """Moves turning tree t into a caterpillar (longest path grows each move)."""
     moves: list[Trail] = []
     g = t
     while True:
@@ -272,14 +273,6 @@ def _caterpillarize(t: Graph) -> tuple[list[Trail], Graph]:
         g = apply_nni(g, trail)
         moves.append(trail)
     return moves, g
-
-
-def caterpillarize(t: Graph) -> MoveSequence:
-    """Moves turning tree t into a caterpillar (longest path grows each move)."""
-    if not t.is_tree():
-        raise GraphError("caterpillarize expects a tree")
-    moves, _ = _caterpillarize(t)
-    return MoveSequence(tuple(moves))
 
 
 def _order_spine(c: Graph) -> tuple[list[Trail], Graph]:
@@ -315,12 +308,6 @@ def _order_spine(c: Graph) -> tuple[list[Trail], Graph]:
             degs[i], degs[i + 1] = degs[i + 1], degs[i]
             changed = True
     return moves, g
-
-
-def order_spine(c: Graph) -> MoveSequence:
-    """Bubble the spine degrees into nonincreasing order (one move per swap)."""
-    moves, _ = _order_spine(c)
-    return MoveSequence(tuple(moves))
 
 
 def _sort_internal(c: Graph) -> tuple[list[Trail], Graph]:
@@ -406,17 +393,6 @@ def _sort_external(
                 ext_at[step].remove(r)
                 ext_at[step].add(victim)
     return moves, g
-
-
-def sort_external(c: Graph, target: Sequence[int]) -> MoveSequence:
-    """Permute pendant leaves along the spine to the target left-to-right order.
-
-    ``target`` lists external edge ids grouped by spine position in canonical
-    direction; order within a position is immaterial.  One move swaps two
-    leaves across an adjacent spine edge.
-    """
-    moves, _ = _sort_external(c, target)
-    return MoveSequence(tuple(moves))
 
 
 def canonical_caterpillar_sequence(t: Graph) -> tuple[list[Trail], Graph]:

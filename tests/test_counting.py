@@ -1,17 +1,45 @@
 """Cross-checks between the three lattice-point counting routes."""
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from trivalent.catalog import claw, dumbbell, k4, lollipop, theta, tree_two_internal
+from trivalent.catalog import (
+    claw,
+    dumbbell,
+    k4,
+    lollipop,
+    theta,
+    tree_caterpillar_four,
+    tree_spider_four,
+    tree_two_internal,
+)
 from trivalent.counting import (
+    _contract,
     count_backtracking,
     count_elimination,
     count_points,
     count_tree_dp,
     iter_lattice_points,
 )
+from trivalent.ehrhart import verlinde_count
+from trivalent.graphs import make_graph
 from trivalent.polytope import contains, inequality_system
+
+
+def prism():
+    """Triangular prism: two triangles joined by three rungs (cubic, 9 edges)."""
+    return make_graph(
+        [(1, 1, 2), (2, 2, 3), (3, 1, 3), (4, 4, 5), (5, 5, 6), (6, 4, 6),
+         (7, 1, 4), (8, 2, 5), (9, 3, 6)]
+    )
+
+
+def k33():
+    """Complete bipartite K3,3 (cubic, 9 edges)."""
+    return make_graph(
+        [(3 * (i - 1) + (j - 3), i, j) for i in (1, 2, 3) for j in (4, 5, 6)]
+    )
 
 
 def test_claw_small_values():
@@ -77,3 +105,60 @@ def test_elimination_reflexive_kind():
 
 def test_k4_counts():
     assert [count_points(k4(), t) for t in range(5)] == [1, 1, 8, 15, 49]
+
+
+@pytest.mark.parametrize("g", [k4(), prism(), k33()], ids=["k4", "prism", "k33"])
+@pytest.mark.parametrize("t", [0, 1, 2, 3, Fraction(5, 2)])
+def test_elimination_matches_backtracking_on_cycles(g, t):
+    sys = inequality_system(g)
+    for strict in (False, True):
+        assert count_elimination(g, t, strict=strict) == count_backtracking(
+            sys, t, strict=strict
+        )
+
+
+@pytest.mark.parametrize("t", [57, 59])
+def test_elimination_at_the_float64_boundary(t):
+    # 58**9 < 2**53 <= 60**9: t = 57 contracts in float64, t = 59 in int64
+    assert (58**9 < 2**53) and (60**9 >= 2**53)
+    assert count_elimination(prism(), t) == verlinde_count(6, t)
+
+
+@pytest.mark.parametrize("tree", [tree_caterpillar_four(), tree_spider_four()],
+                         ids=["caterpillar", "spider"])
+def test_elimination_matches_tree_dp_on_nine_edges(tree):
+    assert count_elimination(tree, 43) == count_tree_dp(tree, 43)
+
+
+
+# Counts cannot catch a contraction that pairs the wrong axes: the miswired
+# network is often another graph with the same degree data, hence (by the
+# invariance theorem) the same count.  So the helper is checked on its own.
+@pytest.mark.parametrize(
+    "f_shape,t_ndim,pairs",
+    [
+        ((), 3, []),  # first step
+        ((3, 4, 5), 3, [(0, 1)]),  # grows: one call
+        ((3, 4, 5, 2), 3, [(1, 0), (3, 2)]),  # shrinks: slabs along axis 0
+        ((3, 4, 5, 6), 3, [(0, 1), (2, 0)]),  # shrinks: slabs along axis 1
+        ((4, 5), 2, [(1, 0), (0, 1)]),  # to a scalar: one call
+    ],
+)
+def test_contract_matches_einsum(f_shape, t_ndim, pairs):
+    rng = np.random.default_rng(0)
+    frontier = rng.integers(0, 9, size=f_shape).astype(np.float64)
+    t_shape = [2 + k for k in range(t_ndim)]
+    for fa, ta in pairs:
+        t_shape[ta] = f_shape[fa]
+    tensor = rng.integers(0, 9, size=t_shape).astype(np.float64)
+    f_sub = "abcd"[: len(f_shape)]
+    t_sub = list("wxyz"[:t_ndim])
+    for fa, ta in pairs:
+        t_sub[ta] = f_sub[fa]
+    summed = {f_sub[fa] for fa, _ in pairs}
+    out = "".join(x for x in f_sub + "".join(t_sub) if x not in summed)
+    expect = np.einsum(f"{f_sub},{''.join(t_sub)}->{out}", frontier, tensor)
+    shared = ([fa for fa, _ in pairs], [ta for _, ta in pairs])
+    got = _contract(frontier, tensor, shared)
+    assert got.shape == expect.shape
+    assert np.array_equal(got, expect)

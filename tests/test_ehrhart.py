@@ -1,6 +1,7 @@
 """Quasi-polynomials, the trigonometric count, and the Bernoulli closed form."""
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from trivalent.catalog import claw, dumbbell, k4, t4, theta, tree_two_internal
@@ -65,6 +66,18 @@ def test_custom_counter():
 )
 def test_verlinde_frozen_values(n, t, expected):
     assert verlinde_count(n, t) == expected
+
+
+def test_verlinde_leaves_shared_precision_alone():
+    saved = mpmath.iv.prec
+    try:
+        mpmath.iv.prec = 37
+        # a start of 20 bits escalates before it certifies
+        assert verlinde_count(6, 23, precision=20) == 64146875
+        assert verlinde_count(4, 5) == 98
+        assert mpmath.iv.prec == 37
+    finally:
+        mpmath.iv.prec = saved
 
 
 def test_verlinde_matches_enumeration():
