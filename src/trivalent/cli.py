@@ -83,6 +83,13 @@ def parse_dilation(text: str) -> Fraction:
     return t
 
 
+def check_t_max(t_max: int) -> int:
+    """The largest dilation a check covers; a negative one would cover none."""
+    if t_max < 0:
+        raise UsageError(f"--t-max {t_max} is negative, so no dilation would be checked")
+    return t_max
+
+
 def frac_str(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -294,8 +301,9 @@ def cmd_scissors_build(args) -> int:
 
 
 def cmd_scissors_verify(args) -> int:
+    t_max = check_t_max(args.t_max)
     d = _build(args)
-    report = verify_decomposition(d, range(args.t_max + 1))
+    report = verify_decomposition(d, range(t_max + 1))
     emit(
         {
             "pieces": len(d.pieces),
@@ -321,7 +329,7 @@ def cmd_scissors_verify(args) -> int:
 
 def cmd_reflexive_check(args) -> int:
     g = load_graph(args.graph)
-    report = reflexivity_check(g, t_max=args.t_max)
+    report = reflexivity_check(g, t_max=check_t_max(args.t_max))
     emit(
         {
             "counts": [

@@ -18,11 +18,15 @@ a float LP proposes either an interior point or a Farkas combination.  Every
 row is homogeneous, so any positive multiple of either is again a
 certificate: the proposal is rounded, scaled to a nonnegative integer vector
 and validated in integer arithmetic, with the exact simplex as the fallback.
+The float proposals are batched: the children of a group of pieces share one
+3-D tableau, solved in one pass, while every certificate is still validated
+on its own, in integers, and the pieces come out in the same order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -41,7 +45,7 @@ from .exactlin import (
 from .graphs import Graph, GraphError
 from .nni import MoveSequence, apply_nni
 from .polytope import inequality_system
-from .weighted import NniSite, resolve_site, site_normals, weight_delta
+from .weighted import NniSite, _apply_case, resolve_site, site_normals, weight_delta
 
 WEAK = ">="
 STRICT = "<"
@@ -126,57 +130,117 @@ def _cone_rows(g: Graph) -> list[tuple[tuple[int, ...], int]]:
     return [(row[0], 0) for row in base.rows if row[1] == 0 and row[2] == 0]
 
 
-def _float_lp(
-    weak: list[tuple[int, ...]], strict: list[tuple[int, ...]], m: int
-) -> tuple[float, np.ndarray, np.ndarray] | None:
-    """Float tableau simplex for the eps problem; returns (eps, x, duals).
+# slack columns a tableau layer stores at first; the store doubles when full
+_SLOTS = 8
 
-    Duals are reported for the weak+strict rows (eps <= 1 row excluded).
-    Returns None if the float search fails to converge; every answer is
+
+def _float_lps(
+    problems: Sequence[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]], m: int
+) -> list[tuple[float, list[float], list[float]] | None]:
+    """Float tableau simplex for many eps problems at once; (eps, x, duals) each.
+
+    Problem (weak, strict) maximizes eps subject to w.x <= 0 for weak rows,
+    s.x + eps <= 0 for strict rows, eps <= 1 and x, eps >= 0.  Duals are
+    reported for the weak+strict rows (eps <= 1 row excluded).  An entry is
+    None where the float search fails to converge; every answer is
     re-verified exactly by the caller, so this routine only has to be fast,
     not trustworthy.
+
+    All problems share one 3-D Dantzig tableau, one layer each, and every
+    layer gets, value for value, the arithmetic it would get alone (only the
+    sign of a zero may differ, which no comparison sees):
+    - a layer's rows are its weak rows, strict rows and the eps row; the rows
+      a shorter problem lacks are zero and stay zero, so no pivot picks them;
+    - a slack column stays the unit vector of its row, with reduced cost 0,
+      until its slack first leaves the basis, and only from then on is it
+      stored (after the right-hand side, x and eps) and updated;
+    - ties for the entering column go to the lowest column of the full
+      tableau (x, eps, then slacks by row), as a single LP's argmax has it;
+    - finished problems are dropped from the tableau.
     """
-    nrows = len(weak) + len(strict) + 1
-    ncols = m + 1 + nrows
-    T = np.zeros((nrows + 1, ncols + 1))
-    for i, vec in enumerate(weak):
-        T[i, :m] = vec
-    for k, vec in enumerate(strict):
-        i = len(weak) + k
-        T[i, :m] = vec
-        T[i, m] = 1.0
-    T[nrows - 1, m] = 1.0
-    T[nrows - 1, ncols] = 1.0  # eps <= 1
-    T[: nrows, m + 1 : m + 1 + nrows] = np.eye(nrows)
-    T[nrows, m] = 1.0  # objective: maximize eps
-    basis = list(range(m + 1, m + 1 + nrows))
-    ratios = np.empty(nrows)
+    out: list[tuple[float, list[float], list[float]] | None] = [None] * len(problems)
+    if not problems:
+        return out
+    nweak = np.array([len(weak) for weak, _ in problems])
+    sizes = nweak + [len(strict) + 1 for _, strict in problems]  # rows incl. eps row
+    nrows = int(sizes.max())
+    ncols = m + 1 + nrows  # columns of the full tableau: x, eps, slacks
+    rows = np.arange(nrows)
+    vecs = [vec for weak, strict in problems for vec in (*weak, *strict)]
+    # stored columns: right-hand side, x, eps, then slacks that have left
+    T = np.zeros((len(problems), nrows + 1, m + 2 + _SLOTS))
+    layer, row = np.nonzero(rows < sizes[:, None] - 1)
+    T[layer, row, 1 : m + 1] = np.fromiter(
+        chain.from_iterable(vecs), float, len(vecs) * m
+    ).reshape(-1, m)
+    T[:, :nrows, m + 1] = (rows >= nweak[:, None]) & (rows < sizes[:, None])
+    T[np.arange(len(problems)), sizes - 1, 0] = 1.0  # eps <= 1
+    T[:, nrows, m + 1] = 1.0  # objective: maximize eps
+    # full-tableau column of each stored column after the right-hand side;
+    # ncols marks a slot no slack has taken yet
+    column = np.full((len(problems), ncols), ncols)
+    column[:, : m + 1] = np.arange(m + 1)
+    # stored column of each row's basic variable; the slack of row i, not
+    # stored yet, is -1 - i
+    basis = np.tile(-1 - rows, (len(problems), 1))
+    slacks = np.zeros(len(problems), dtype=np.int64)  # slack columns stored
+    live = np.arange(len(problems))  # problem of each layer
+    at = np.arange(len(problems))
+    width = m + 2  # stored columns in use
     for _ in range(200):
-        obj = T[nrows, :ncols]
-        entering = int(obj.argmax())
-        if obj[entering] <= 1e-9:
-            break
-        col = T[:nrows, entering]
-        mask = col > 1e-9
-        if not mask.any():
-            return None  # unbounded should not happen (eps <= 1)
-        ratios.fill(np.inf)
-        np.divide(T[:nrows, ncols], col, out=ratios, where=mask)
-        leave = int(ratios.argmin())
-        T[leave] /= T[leave, entering]
-        factors = T[:, entering].copy()
-        factors[leave] = 0.0
-        T -= factors[:, None] * T[leave]
-        basis[leave] = entering
-    else:
-        return None
-    eps = -T[nrows, ncols]
-    x = np.zeros(m)
-    for i, b in enumerate(basis):
-        if b < m:
-            x[b] = T[i, ncols]
-    duals = -T[nrows, m + 1 : m + nrows]  # weak+strict slack reduced costs
-    return eps, x, duals
+        obj = T[:, nrows, 1:width]
+        best = obj.max(axis=1)
+        ties = np.where(obj == best[:, None], column[:, : width - 1], ncols)
+        entering = 1 + ties.argmin(axis=1)
+        factors = T[at, :, entering]  # the entering column, objective row included
+        mask = factors[:, :nrows] > 1e-9
+        done = best <= 1e-9
+        # a column without a positive entry is unbounded, which eps <= 1
+        # rules out: such a problem is dropped and stays None
+        drop = done | ~mask.any(axis=1)
+        if drop.any():
+            k = np.flatnonzero(done)
+            n = np.arange(len(k))[:, None]
+            value = np.zeros((len(k), width))  # column 0 absorbs unstored slacks
+            value[n, np.maximum(basis[k], 0)] = T[k, :nrows, 0]
+            reduced = np.zeros((len(k), ncols + 1))
+            reduced[n, column[k, m + 1 : width - 1]] = T[k, nrows, m + 2 : width]
+            # the duals of the weak+strict rows are their slacks' reduced costs, negated
+            for layer, eps, x, duals in zip(
+                k.tolist(),
+                (-T[k, nrows, 0]).tolist(),
+                value[:, 1 : m + 1].tolist(),
+                (-reduced).tolist(),
+            ):
+                out[live[layer]] = (eps, x, duals[m + 1 : m + sizes[layer]])
+            keep = ~drop
+            live, sizes, slacks = live[keep], sizes[keep], slacks[keep]
+            if not len(live):
+                break
+            T, basis, column = T[keep], basis[keep], column[keep]
+            entering, factors, mask = entering[keep], factors[keep], mask[keep]
+            at = np.arange(len(live))
+        ratios = np.full(mask.shape, np.inf)
+        np.divide(T[:, :nrows, 0], factors[:, :nrows], out=ratios, where=mask)
+        leave = ratios.argmin(axis=1)
+        # a slack leaving for the first time is stored as the unit column it was
+        leaving = basis[at, leave]
+        new = np.flatnonzero(leaving < 0)
+        if len(new):
+            if width == T.shape[2]:  # the store is full: double it
+                T = np.concatenate((T, np.zeros_like(T[:, :, m + 2 :])), axis=2)
+            slot = slacks[new]
+            T[new, leave[new], m + 2 + slot] = 1.0
+            column[new, m + 1 + slot] = m - leaving[new]
+            slacks[new] = slot + 1
+            width = max(width, m + 3 + int(slot.max()))
+        pivot = T[at, leave, :width]
+        pivot /= factors[at, leave][:, None]
+        T[at, leave, :width] = pivot
+        factors[at, leave] = 0.0
+        T[:, :, :width] -= np.einsum("li,lj->lij", factors, pivot)
+        basis[at, leave] = entering
+    return out
 
 
 _ZERO_TOL = 1e-12
@@ -203,29 +267,45 @@ def _dot(vec: Sequence[int], x: Sequence[int]) -> int:
 
 
 def _certify(
-    constraints: Sequence[Constraint],
+    children: Sequence[Sequence[Constraint]],
     cone: list[tuple[tuple[int, ...], int]],
     m: int,
-) -> tuple[int, ...] | None:
-    """An integer point of the half-open cone inside the body, or None if empty.
+) -> list[tuple[int, ...] | None]:
+    """An integer point of each half-open cone inside the body, or None where
+    that cone is empty.
 
-    A float LP proposes the answer: a primal point (nonempty) or Farkas
-    multipliers (empty).  It is rounded to rationals and scaled to a
-    nonnegative integer vector, which every row being homogeneous allows, and
-    then checked exactly in integer arithmetic.  Only when neither
-    certificate validates does the exact simplex run; its point is scaled to
-    integers the same way.
+    One batched float LP proposes every answer: a primal point (nonempty) or
+    Farkas multipliers (empty).  Each proposal is then rounded to rationals
+    and scaled to a nonnegative integer vector, which every row being
+    homogeneous allows, and checked on its own in integer arithmetic.  Only
+    when neither certificate validates does the exact simplex run; its point
+    is scaled to integers the same way.
     """
-    strict_vecs = [vec for vec, sense in constraints if sense == STRICT]
-    if not strict_vecs:
-        return (0,) * m  # the origin qualifies
-    weak_vecs = [vec for vec, _ in cone]
-    weak_vecs += [
-        tuple(-x for x in vec) for vec, sense in constraints if sense == WEAK
+    cone_vecs = [vec for vec, _ in cone]
+    problems = []
+    for constraints in children:
+        strict = [vec for vec, sense in constraints if sense == STRICT]
+        weak = cone_vecs + [
+            tuple(-x for x in vec) for vec, sense in constraints if sense == WEAK
+        ]
+        problems.append((weak, strict))
+    proposals = iter(_float_lps([p for p in problems if p[1]], m))
+    # without a strict row the origin qualifies
+    return [
+        _validate(weak, strict, next(proposals), m) if strict else (0,) * m
+        for weak, strict in problems
     ]
-    sol = _float_lp(weak_vecs, strict_vecs, m)
-    if sol is not None:
-        eps, x_f, duals = sol
+
+
+def _validate(
+    weak_vecs: list[tuple[int, ...]],
+    strict_vecs: list[tuple[int, ...]],
+    proposal: tuple[float, list[float], list[float]] | None,
+    m: int,
+) -> tuple[int, ...] | None:
+    """Check one float proposal exactly; the exact simplex decides otherwise."""
+    if proposal is not None:
+        eps, x_f, duals = proposal
         if eps > 1e-7:
             x = _clear_denominators(_round(x_f))
             if all(_dot(vec, x) <= 0 for vec in weak_vecs) and all(
@@ -251,20 +331,46 @@ def _certify(
     return _clear_denominators(x) if eps > 0 else None
 
 
-def _apply_case(matrix: IntMatrix, site: NniSite, case: str, idx: Mapping[int, int]) -> IntMatrix:
-    """Row update equal to case_matrix(site, case) @ matrix, done in O(m)."""
-    from .weighted import _CASE_INCREMENT, _slot_id
+def _children(
+    piece: Piece, h1: tuple[int, ...], h2: tuple[int, ...]
+) -> list[tuple[list[Constraint], str, tuple[int, ...] | None]]:
+    """The cases of a move that bookkeeping leaves alive inside a piece.
 
-    plus, minus = _CASE_INCREMENT[case]
-    prow = matrix[idx[site.trail.e]]
-    urow = tuple(
-        p + q - r
-        for p, q, r in zip(
-            prow, matrix[idx[_slot_id(site, plus)]], matrix[idx[_slot_id(site, minus)]]
-        )
-    )
-    e_i = idx[site.trail.e]
-    return tuple(urow if i == e_i else row for i, row in enumerate(matrix))
+    Each comes as (constraints, case, witness), the witness being the
+    piece's own when it lies in that case and None when the case still
+    needs a certificate.
+    """
+    p1 = vecmat(h1, piece.matrix)
+    p2 = vecmat(h2, piece.matrix)
+    s1 = _dot(p1, piece.witness)
+    s2 = _dot(p2, piece.witness)
+    normals = (divide_gcd(p1), divide_gcd(p2))
+    out = []
+    for case, senses in _CASE_SENSES.items():
+        constraints = list(piece.constraints)
+        dead = False
+        for vec, sense in zip(normals, senses):
+            if not any(vec):
+                if sense == STRICT:
+                    dead = True  # 0 < 0 never holds
+                    break
+                continue  # 0 >= 0 always holds
+            verdict = _classify_constraint(constraints, vec, sense)
+            if verdict == _DEAD:
+                dead = True
+                break
+            if verdict == _ADD:
+                constraints.append((vec, sense))
+        if dead:
+            continue
+        wa, wb = senses
+        witness_here = ((s1 >= 0) == (wa == WEAK)) and ((s2 >= 0) == (wb == WEAK))
+        out.append((constraints, case, piece.witness if witness_here else None))
+    return out
+
+
+# pieces whose children share one batched LP; bounds the tableau's memory
+_GROUP = 32
 
 
 def build_decomposition(g: Graph, seq: MoveSequence) -> Decomposition:
@@ -285,44 +391,25 @@ def build_decomposition(g: Graph, seq: MoveSequence) -> Decomposition:
         site = resolve_site(current, trail)
         h1, h2 = site_normals(site, edge_order)
         next_pieces: list[Piece] = []
-        for piece in pieces:
-            p1 = vecmat(h1, piece.matrix)
-            p2 = vecmat(h2, piece.matrix)
-            s1 = _dot(p1, piece.witness)
-            s2 = _dot(p2, piece.witness)
-            normals = (divide_gcd(p1), divide_gcd(p2))
-            for case, senses in _CASE_SENSES.items():
-                constraints = list(piece.constraints)
-                dead = False
-                for vec, sense in zip(normals, senses):
-                    if not any(vec):
-                        if sense == STRICT:
-                            dead = True  # 0 < 0 never holds
-                            break
-                        continue  # 0 >= 0 always holds
-                    verdict = _classify_constraint(constraints, vec, sense)
-                    if verdict == _DEAD:
-                        dead = True
-                        break
-                    if verdict == _ADD:
-                        constraints.append((vec, sense))
-                if dead:
-                    continue
-                wa, wb = senses
-                witness_here = ((s1 >= 0) == (wa == WEAK)) and (
-                    (s2 >= 0) == (wb == WEAK)
-                )
-                if witness_here:
-                    point = piece.witness
-                else:
-                    point = _certify(constraints, cone, m)
-                    if point is None:
-                        continue
+        for start in range(0, len(pieces), _GROUP):
+            children = [
+                (constraints, piece, case, witness)
+                for piece in pieces[start : start + _GROUP]
+                for constraints, case, witness in _children(piece, h1, h2)
+            ]
+            certified = iter(
+                _certify([c for c, _, _, witness in children if witness is None], cone, m)
+            )
+            for constraints, piece, case, witness in children:
+                if witness is None:
+                    witness = next(certified)
+                    if witness is None:
+                        continue  # the case misses the polytope
                 next_pieces.append(
                     Piece(
                         tuple(constraints),
                         _apply_case(piece.matrix, site, case, idx),
-                        point,
+                        witness,
                     )
                 )
         pieces = next_pieces

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .exactlin import IntMatrix, identity
 from .graphs import Graph, GraphError
 from .nni import NniError, Trail, apply_nni
 
@@ -156,7 +157,7 @@ def case_delta(site: NniSite, case: str, w: Mapping[int, Fraction]) -> Fraction:
 
 def case_matrix(
     site: NniSite, case: str, edge_order: Sequence[int]
-) -> tuple[tuple[int, ...], ...]:
+) -> IntMatrix:
     """Unimodular matrix of the case: identity with the pivot row replaced.
 
     Rows/columns follow edge_order.  Built additively so coinciding slots
@@ -164,13 +165,22 @@ def case_matrix(
     entry stays 1 because c, d, a, b are all distinct from e).
     """
     idx = {eid: i for i, eid in enumerate(edge_order)}
-    n = len(edge_order)
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return _apply_case(identity(len(edge_order)), site, case, idx)
+
+
+def _apply_case(
+    matrix: IntMatrix, site: NniSite, case: str, idx: Mapping[int, int]
+) -> IntMatrix:
+    """Row update equal to case_matrix(site, case) @ matrix, done in O(m)."""
     plus, minus = _CASE_INCREMENT[case]
-    prow = rows[idx[site.trail.e]]
-    prow[idx[_slot_id(site, plus)]] += 1
-    prow[idx[_slot_id(site, minus)]] -= 1
-    return tuple(tuple(r) for r in rows)
+    e_i = idx[site.trail.e]
+    urow = tuple(
+        p + q - r
+        for p, q, r in zip(
+            matrix[e_i], matrix[idx[_slot_id(site, plus)]], matrix[idx[_slot_id(site, minus)]]
+        )
+    )
+    return tuple(urow if i == e_i else row for i, row in enumerate(matrix))
 
 
 def site_normals(

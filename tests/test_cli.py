@@ -1,8 +1,13 @@
 """Command line interface: exit codes, JSON output, file round trips."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trivalent
 from trivalent.cli import main
 
 THETA_TEXT = "v 2\ne 1 1 2\ne 2 1 2\ne 3 1 2\n"
@@ -179,6 +184,33 @@ def test_scissors_build_and_verify(capsys):
     )
     assert payload["ok"] is True
     assert [d["points"] for d in payload["dilations"]] == [1, 1, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("scissors", "verify", "theta", "dumbbell"), ("reflexive", "check", "theta")],
+)
+@pytest.mark.parametrize("t_max, code", [("0", 0), ("-1", 2), ("-2", 2)])
+def test_t_max_exit_codes(capsys, command, t_max, code):
+    # a negative bound would check no dilation and still report ok
+    assert main([*command, f"--t-max={t_max}"]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.err.startswith("error: --t-max ")
+        assert captured.out == ""
+    else:
+        assert json.loads(captured.out)["ok"] is True
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(trivalent.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-m", "trivalent", "graph", "info", "theta"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["cycle_rank"] == 2
 
 
 def test_reflexive_check(capsys):

@@ -1,4 +1,5 @@
 """Half-open decomposition: frozen small case plus structural checks."""
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -181,14 +182,14 @@ def _no_simplex(*args, **kwargs):
 def test_certify_nonempty_gives_integer_point(monkeypatch):
     monkeypatch.setattr(scissors, "max_epsilon", _no_simplex)
     cone = scissors._cone_rows(theta())
-    x = scissors._certify(NONEMPTY, cone, 3)
+    [x] = scissors._certify([NONEMPTY], cone, 3)
     assert x is not None and all(type(v) is int for v in x)
     assert _satisfies(NONEMPTY, cone, x)
 
 
 def test_certify_empty_by_farkas(monkeypatch):
     monkeypatch.setattr(scissors, "max_epsilon", _no_simplex)
-    assert scissors._certify(EMPTY, scissors._cone_rows(theta()), 3) is None
+    assert scissors._certify([EMPTY], scissors._cone_rows(theta()), 3) == [None]
 
 
 def test_certify_falls_back_to_exact_simplex(monkeypatch):
@@ -199,11 +200,111 @@ def test_certify_falls_back_to_exact_simplex(monkeypatch):
         calls.append(args)
         return exact(*args, **kwargs)
 
-    monkeypatch.setattr(scissors, "_float_lp", lambda *args: None)
+    monkeypatch.setattr(scissors, "_float_lps", lambda problems, m: [None] * len(problems))
     monkeypatch.setattr(scissors, "max_epsilon", spy)
     cone = scissors._cone_rows(theta())
-    x = scissors._certify(NONEMPTY, cone, 3)
+    [x] = scissors._certify([NONEMPTY], cone, 3)
     assert x is not None and all(type(v) is int for v in x)
     assert _satisfies(NONEMPTY, cone, x)
-    assert scissors._certify(EMPTY, cone, 3) is None
+    assert scissors._certify([EMPTY], cone, 3) == [None]
     assert len(calls) == 2
+
+
+def _dense_tableau(weak, strict, m):
+    """One eps problem on the full dense tableau, pivot by pivot: the reference
+    the batched routine must match value for value."""
+    nrows = len(weak) + len(strict) + 1
+    ncols = m + 1 + nrows
+    T = np.zeros((nrows + 1, ncols + 1))
+    for i, vec in enumerate([*weak, *strict]):
+        T[i, :m] = vec
+    T[len(weak) : nrows, m] = 1.0
+    T[nrows - 1, ncols] = 1.0
+    T[:nrows, m + 1 : m + 1 + nrows] = np.eye(nrows)
+    T[nrows, m] = 1.0
+    basis = list(range(m + 1, m + 1 + nrows))
+    for _ in range(200):
+        entering = int(T[nrows, :ncols].argmax())
+        if T[nrows, entering] <= 1e-9:
+            break
+        col = T[:nrows, entering]
+        if not (col > 1e-9).any():
+            return None
+        ratios = [T[i, ncols] / c if c > 1e-9 else np.inf for i, c in enumerate(col)]
+        leave = int(np.argmin(ratios))
+        T[leave] /= T[leave, entering]
+        factors = T[:, entering].copy()
+        factors[leave] = 0.0
+        T -= factors[:, None] * T[leave]
+        basis[leave] = entering
+    else:
+        return None
+    x = [0.0] * m
+    for i, b in enumerate(basis):
+        if b < m:
+            x[b] = float(T[i, ncols])
+    return float(-T[nrows, ncols]), x, (-T[nrows, m + 1 : m + nrows]).tolist()
+
+
+def _first_moves(source, target, moves):
+    return MoveSequence(graph_sequence(source, target).moves[:moves])
+
+
+def _recorded_lps(monkeypatch, source, seq):
+    """The build's decomposition and the nonempty LP batches it solved."""
+    batches = []
+    solve = scissors._float_lps
+
+    def record(problems, m):
+        batches.append(list(problems))
+        return solve(problems, m)
+
+    monkeypatch.setattr(scissors, "_float_lps", record)
+    d = build_decomposition(source, seq)
+    monkeypatch.setattr(scissors, "_float_lps", solve)
+    return d, [b for b in batches if b]
+
+
+def test_batched_lps_match_solving_each_alone(monkeypatch):
+    # the fifth and sixth moves bring ties for the entering column
+    _, batches = _recorded_lps(monkeypatch, k4(), _first_moves(k4(), t4(), 6))
+    problems = [p for batch in batches for p in batch]
+    assert len({len(w) + len(s) for w, s in problems}) > 1  # a ragged batch
+    m = len(k4().edges)
+    alone = [scissors._float_lps([p], m)[0] for p in problems]
+    assert alone == [_dense_tableau(w, s, m) for w, s in problems]
+    order = list(range(len(problems)))
+    random.Random(7).shuffle(order)
+    together = scissors._float_lps([problems[i] for i in order], m)
+    assert together == [alone[i] for i in order]
+
+
+@pytest.mark.parametrize("source, target, moves", [(theta, dumbbell, 1), (k4, t4, 3)])
+def test_fallback_runs_only_for_the_failed_proposal(monkeypatch, source, target, moves):
+    seq = _first_moves(source(), target(), moves)
+    expected, batches = _recorded_lps(monkeypatch, source(), seq)
+    widest = max(batches, key=len)
+    failed = widest[len(widest) // 2]
+    solve = scissors._float_lps
+
+    def fail_one(problems, m):
+        proposals = solve(problems, m)
+        if problems == widest:
+            proposals[len(problems) // 2] = None
+        return proposals
+
+    exact_runs = []
+    exact = scissors.max_epsilon
+
+    def spy(weak, strict, *args, **kwargs):
+        exact_runs.append(([vec for vec, _ in weak], [vec for vec, _ in strict]))
+        return exact(weak, strict, *args, **kwargs)
+
+    monkeypatch.setattr(scissors, "_float_lps", fail_one)
+    monkeypatch.setattr(scissors, "max_epsilon", spy)
+    d = build_decomposition(source(), seq)
+    assert exact_runs == [failed]
+    assert [(p.constraints, p.matrix) for p in d.pieces] == [
+        (p.constraints, p.matrix) for p in expected.pieces
+    ]
+    _check_every_piece(d)
