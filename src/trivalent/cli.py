@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import catalog
-from .counting import count_backtracking, count_points
+from .counting import count_points
 from .ehrhart import (
     quasi_polynomial,
     semi_reflexive_check,
@@ -34,7 +34,6 @@ from .graphs import (
     validate_13,
 )
 from .nni import MoveSequence, Trail, graph_sequence, replay
-from .polytope import inequality_system
 from .reflexive import h_star, reflexivity_check, vertex_enumeration
 from .scissors import build_decomposition, verify_decomposition
 from .weighted import apply_weighted_nni, as_weighting, case_of, resolve_site
@@ -210,10 +209,9 @@ def cmd_wnni_apply(args) -> int:
 def cmd_ehrhart_count(args) -> int:
     g = load_graph(args.graph)
     t = parse_dilation(args.t)
-    if args.method == "backtracking":
-        count = count_backtracking(inequality_system(g), t)
-    else:
-        count = count_points(g, t, method=args.method)
+    if args.method == "tree-dp" and not g.is_tree():
+        raise UsageError(f"--method tree-dp needs a tree, and {args.graph!r} is not one")
+    count = count_points(g, t, method=args.method)
     emit({"t": frac_str(t), "count": count, "method": args.method})
     return 0
 
@@ -417,12 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trivalent",
         description="Lattice polytopes of graphs with all degrees in {1, 3}.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility; the implementation is single-threaded",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -3,15 +3,17 @@
 Three independent routes:
 
 * count_backtracking -- pure-Python depth-first search with per-row interval
-  pruning.  Slow but straightforward; serves as the reference oracle.
+  pruning (the search iter_lattice_points expands into points).  Slow but
+  straightforward; serves as the reference oracle.
 * count_tree_dp -- message passing along a tree with all degrees in {1, 3};
   O(n * t^3) via int64 tensor contractions.
 * count_elimination -- vertex-by-vertex tensor contraction for arbitrary
   graphs that pass validate_13 (cycles allowed); needed where backtracking is
   hopeless, e.g. quasi-polynomial extraction at t around 35.
 
-Rational dilation parameters are handled exactly by clearing denominators;
-all comparisons happen in integers.
+The tensor routes evaluate the rows of polytope.KINDS on one vertex's slot
+values.  Rational dilation parameters are handled exactly by clearing
+denominators; all comparisons happen in integers.
 """
 from __future__ import annotations
 
@@ -21,40 +23,44 @@ from typing import Iterator
 import numpy as np
 
 from .graphs import Graph, GraphError, validate_13
-from .polytope import InequalitySystem, inequality_system
+from .polytope import KINDS, SIGN_PATTERNS, InequalitySystem, inequality_system
 
 _INT64_LIMIT = 2**62
 
 
-def _prepare(sys: InequalitySystem, t) -> tuple[list[tuple[tuple[int, ...], int]], int, int]:
+def _dilation(t, box: str) -> tuple[int, int, int, int]:
+    """(p, q, lo, hi) for a dilation t = p/q: the value range lo..hi of one
+    coordinate of a lattice point in the t-th dilate of a system with this box."""
     t = Fraction(t)
     if t < 0:
         raise GraphError("dilation parameter must be nonnegative")
     p, q = t.numerator, t.denominator
-    floor_t = p // q
-    lo, hi = (0, floor_t) if sys.box == "nonneg" else (-floor_t, floor_t)
-    rows = [
-        (tuple(c * q for c in coeffs), alpha * p + beta * q)
-        for coeffs, alpha, beta in sys.rows
-    ]
-    return rows, lo, hi
+    hi = p // q
+    return p, q, (0 if box == "nonneg" else -hi), hi
 
 
-def count_backtracking(sys: InequalitySystem, t, strict: bool = False) -> int:
-    """Count lattice points of the t-th dilate by pruned depth-first search.
+def _last_ranges(
+    sys: InequalitySystem, t, strict: bool = False
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Pruned depth-first search over the lattice points of the t-th dilate.
 
-    strict=True counts the strict interior (every row satisfied strictly).
+    Yields (prefix, xlo, xhi) for every assignment prefix of all coordinates
+    but the last that extends to a lattice point, in lexicographic order; its
+    extensions are the values xlo..xhi of the last coordinate.  A system
+    without coordinates yields ((), 0, 0) when the origin satisfies it.
+    Rows are scaled by q, so every comparison is in integers; strict=True
+    lowers every right-hand side by one, which in integers is strictness.
     """
-    rows, lo, hi = _prepare(sys, t)
-    if strict:
-        rows = [(c, rhs - 1) for c, rhs in rows]
+    p, q, lo, hi = _dilation(t, sys.box)
+    coeff = [tuple(c * q for c in coeffs) for coeffs, _, _ in sys.rows]
+    rhs = [alpha * p + beta * q - int(strict) for _, alpha, beta in sys.rows]
     m = len(sys.edge_order)
     if m == 0:
-        return 1 if all(rhs >= 0 for _, rhs in rows) else 0
+        if all(r >= 0 for r in rhs):
+            yield (), 0, 0
+        return
 
-    coeff = [r[0] for r in rows]
-    rhs = [r[1] for r in rows]
-    nrows = len(rows)
+    nrows = len(rhs)
     # minrest[j][r]: smallest possible contribution of variables j.. to row r
     minrest = [[0] * nrows for _ in range(m + 1)]
     for j in range(m - 1, -1, -1):
@@ -62,10 +68,9 @@ def count_backtracking(sys: InequalitySystem, t, strict: bool = False) -> int:
             c = coeff[r][j]
             minrest[j][r] = minrest[j + 1][r] + min(c * lo, c * hi)
 
-    count = 0
-
-    def descend(j: int, partial: list[int]) -> None:
-        nonlocal count
+    def descend(
+        j: int, prefix: tuple[int, ...], partial: list[int]
+    ) -> Iterator[tuple[tuple[int, ...], int, int]]:
         xlo, xhi = lo, hi
         for r in range(nrows):
             c = coeff[r][j]
@@ -79,55 +84,30 @@ def count_backtracking(sys: InequalitySystem, t, strict: bool = False) -> int:
         if xlo > xhi:
             return
         if j == m - 1:
-            count += xhi - xlo + 1
+            yield prefix, xlo, xhi
             return
         for x in range(xlo, xhi + 1):
-            descend(j + 1, [partial[r] + coeff[r][j] * x for r in range(nrows)])
+            yield from descend(
+                j + 1, prefix + (x,), [partial[r] + coeff[r][j] * x for r in range(nrows)]
+            )
 
-    descend(0, [0] * nrows)
-    return count
+    yield from descend(0, (), [0] * nrows)
+
+
+def count_backtracking(sys: InequalitySystem, t, strict: bool = False) -> int:
+    """Count lattice points of the t-th dilate by pruned depth-first search.
+
+    strict=True counts the strict interior (every row satisfied strictly).
+    """
+    return sum(xhi - xlo + 1 for _, xlo, xhi in _last_ranges(sys, t, strict))
 
 
 def iter_lattice_points(sys: InequalitySystem, t) -> Iterator[tuple[int, ...]]:
     """Yield the lattice points of the t-th dilate in lexicographic order."""
-    rows, lo, hi = _prepare(sys, t)
     m = len(sys.edge_order)
-    if m == 0:
-        if all(rhs >= 0 for _, rhs in rows):
-            yield ()
-        return
-    coeff = [r[0] for r in rows]
-    rhs = [r[1] for r in rows]
-    nrows = len(rows)
-    minrest = [[0] * nrows for _ in range(m + 1)]
-    for j in range(m - 1, -1, -1):
-        for r in range(nrows):
-            c = coeff[r][j]
-            minrest[j][r] = minrest[j + 1][r] + min(c * lo, c * hi)
-
-    point = [0] * m
-
-    def descend(j: int, partial: list[int]) -> Iterator[tuple[int, ...]]:
-        xlo, xhi = lo, hi
-        for r in range(nrows):
-            c = coeff[r][j]
-            room = rhs[r] - partial[r] - minrest[j + 1][r]
-            if c > 0:
-                xhi = min(xhi, room // c)
-            elif c < 0:
-                xlo = max(xlo, -(room // (-c)))
-            elif room < 0:
-                return
+    for prefix, xlo, xhi in _last_ranges(sys, t):
         for x in range(xlo, xhi + 1):
-            point[j] = x
-            if j == m - 1:
-                yield tuple(point)
-            else:
-                yield from descend(
-                    j + 1, [partial[r] + coeff[r][j] * x for r in range(nrows)]
-                )
-
-    yield from descend(0, [0] * nrows)
+            yield prefix + (x,) if m else ()
 
 
 # -- local indicator ----------------------------------------------------------
@@ -136,24 +116,18 @@ def iter_lattice_points(sys: InequalitySystem, t) -> Iterator[tuple[int, ...]]:
 def _slot_indicator(
     vals: np.ndarray, p: int, q: int, kind: str, strict: bool, dtype
 ) -> np.ndarray:
-    """0/1 tensor over vals^3: the rows of one vertex on its three slot values.
+    """0/1 tensor over vals^3: the rows of KINDS[kind] for one vertex, on its
+    three slot values, at the dilation p/q.
 
     A vertex whose slots repeat an edge (a loop) takes the diagonal of this
     tensor, so one tensor serves every degree-3 vertex of a graph.
     """
-    if kind == "membership":
-        # perimeter <= t, then the three metric rows <= 0
-        bounds = (p, 0, 0, 0)
-    elif kind == "reflexive":
-        # the four sign patterns, each <= t
-        bounds = (p, p, p, p)
-    else:
-        raise GraphError(f"unknown system kind {kind!r}")
-    a = q * vals[:, None, None]
-    b = q * vals[None, :, None]
-    c = q * vals[None, None, :]
+    bounds, _ = KINDS[kind]
+    slots = (q * vals[:, None, None], q * vals[None, :, None], q * vals[None, None, :])
     ind = np.ones((len(vals),) * 3, dtype=bool)
-    for row, bound in zip((a + b + c, a - b - c, b - a - c, c - a - b), bounds):
+    for pattern, (alpha, beta) in zip(SIGN_PATTERNS, bounds):
+        row = sum(sign * x for sign, x in zip(pattern, slots))
+        bound = alpha * p + beta * q
         ind &= (row < bound) if strict else (row <= bound)
     return ind.astype(dtype)
 
@@ -171,15 +145,10 @@ def count_tree_dp(g: Graph, t) -> int:
     validate_13(g)
     if not g.is_tree():
         raise GraphError("count_tree_dp expects a tree")
-    t = Fraction(t)
-    if t < 0:
-        raise GraphError("dilation parameter must be nonnegative")
-    p, q = t.numerator, t.denominator
-    floor_t = p // q
-    m = len(g.edges)
-    if (floor_t + 1) ** m >= _INT64_LIMIT:
+    p, q, lo, hi = _dilation(t, KINDS["membership"][1])
+    vals = np.arange(lo, hi + 1, dtype=np.int64)
+    if len(vals) ** len(g.edges) >= _INT64_LIMIT:
         raise GraphError("count too large for int64 message passing")
-    vals = np.arange(floor_t + 1, dtype=np.int64)
     ind = _slot_indicator(vals, p, q, "membership", False, np.int64)
     internal = [v for v in sorted(g.vertex_ids) if g.degrees[v] == 3]
     root = internal[0]
@@ -197,7 +166,7 @@ def count_tree_dp(g: Graph, t) -> int:
                 stack.append((w, e))
 
     up: dict[int, np.ndarray] = {}
-    ones = np.ones(floor_t + 1, dtype=np.int64)
+    ones = np.ones(len(vals), dtype=np.int64)
 
     def child_table(v: int, e: int) -> np.ndarray:
         w = g.other_end(e, v)
@@ -263,15 +232,10 @@ def count_elimination(
     same contraction runs on int64 arrays; beyond it the count is refused.
     """
     validate_13(g)
-    t = Fraction(t)
-    if t < 0:
-        raise GraphError("dilation parameter must be nonnegative")
-    p, q = t.numerator, t.denominator
-    floor_t = p // q
-    if kind == "membership":
-        vals = np.arange(0, floor_t + 1, dtype=np.int64)
-    else:
-        vals = np.arange(-floor_t, floor_t + 1, dtype=np.int64)
+    if kind not in KINDS:
+        raise GraphError(f"unknown system kind {kind!r}")
+    p, q, lo, hi = _dilation(t, KINDS[kind][1])
+    vals = np.arange(lo, hi + 1, dtype=np.int64)
     m = len(g.edges)
     bound = len(vals) ** m
     if bound >= _INT64_LIMIT:

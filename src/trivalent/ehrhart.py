@@ -8,7 +8,6 @@ divisors of 4.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -135,14 +134,13 @@ def verlinde_count(n: int, t: int, precision: int | None = None) -> int:
 
     for even n >= 2 and odd t >= 1.  Evaluated in interval arithmetic with
     escalating precision until the enclosure pins a unique integer within an
-    error of 1/4.  TRIVALENT_VERLINDE_PREC overrides the starting precision.
+    error of 1/4, starting from `precision` bits (80 by default).
     """
     if n < 2 or n % 2:
         raise GraphError("n must be an even integer >= 2")
     if t < 1 or t % 2 == 0:
         raise GraphError("t must be an odd positive integer")
-    start = precision or int(os.environ.get("TRIVALENT_VERLINDE_PREC", "80"))
-    prec = max(start, 20)
+    prec = max(precision or 80, 20)
     # a private context, so the shared mpmath.iv precision is never touched
     iv = mpmath.ctx_iv.MPIntervalContext()
     while prec <= 4096:
@@ -275,7 +273,7 @@ def semi_reflexive_check(g: Graph, samples: Sequence) -> SemiReflexiveReport:
     ok = True
     for s in samples:
         s = Fraction(s)
-        at_s = count_points(g, s, method="auto" if g.is_tree() else "elimination")
+        at_s = count_points(g, s)
         at_floor = count_points(g, Fraction(s.numerator // s.denominator))
         rows.append((s, at_s, at_floor))
         ok = ok and at_s == at_floor

@@ -1,12 +1,13 @@
-"""Small exact linear algebra helpers: integer matrices, integer and Fraction
-elimination, and a tableau simplex specialized to strict-feasibility questions.
+"""Small exact linear algebra helpers: integer matrices, one fraction-free
+elimination behind determinants and square solves, and a tableau simplex
+specialized to strict-feasibility questions.
 
 Everything here is exact; no floats.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -14,13 +15,6 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    cols = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
 
 
 def matvec(a: IntMatrix, v: Sequence) -> tuple:
@@ -48,18 +42,21 @@ def primitive(vec: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+def _bareiss(a: list[list[int]], n: int) -> int:
+    """Fraction-free (Bareiss) forward elimination of the integer rows a, in
+    place, on their first n columns.
 
     After step k every entry below and right of the pivot is a (k+1)-minor of
     the input, so each division by the previous pivot is exact and all
-    intermediate values stay integers.
+    intermediate values stay integers; columns past n (a right-hand side) are
+    carried along the same way.  Afterwards a[k][k] is the (k+1)-th leading
+    principal minor of the row-permuted input and the rows are an upper
+    triangular system equivalent to the input.  Returns the sign of the row
+    permutation, or 0 when the leading n x n block is singular.
     """
-    n = len(m)
-    a = [list(row) for row in m]
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
             swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
             if swap is None:
@@ -70,28 +67,39 @@ def determinant(m: IntMatrix) -> int:
         pivot = pivot_row[k]
         for row in a[k + 1 :]:
             f = row[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(row)):
                 row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
         prev = pivot
-    return sign * a[n - 1][n - 1] if n else 1
+    return sign
+
+
+def determinant(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in m]
+    sign = _bareiss(a, len(a))
+    return sign * a[-1][-1] if a else 1
 
 
 def solve_square(m: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
-    """Solve Mx = rhs exactly; None when M is singular."""
+    """Solve Mx = rhs exactly; None when M is singular.
+
+    Each row of [M | rhs] is scaled to integers by the lcm of its
+    denominators, eliminated fraction-free, and the triangular result solved
+    by back-substitution in Fractions.
+    """
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(a[i][n] for i in range(n))
+    a = []
+    for row, r in zip(m, rhs):
+        entries = [Fraction(x) for x in (*row, r)]
+        scale = lcm(*(x.denominator for x in entries))
+        a.append([x.numerator * (scale // x.denominator) for x in entries])
+    if not _bareiss(a, n):
+        return None
+    x = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        row = a[k]
+        x[k] = Fraction(row[n] - sum(row[j] * x[j] for j in range(k + 1, n)), row[k])
+    return tuple(x)
 
 
 def max_epsilon(

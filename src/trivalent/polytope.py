@@ -1,25 +1,23 @@
 """Edge-weight inequality systems attached to a graph.
 
-For each degree-3 vertex v with slot multiset {a, b, c} (a loop occupies two
-slots) the local system S(v) is
+Every row comes from one local system per degree-3 vertex v with slot
+multiset {a, b, c} (a loop occupies two slots): the four sign patterns
 
-    w_a + w_b + w_c <= t          (perimeter)
-    w_a <= w_b + w_c              (one metric row per slot instance)
-    w_b <= w_a + w_c
-    w_c <= w_a + w_b
+    +w_a + w_b + w_c      +w_a - w_b - w_c
+    -w_a + w_b - w_c      -w_a - w_b + w_c
 
-The graph polytope is the solution set of the union of all S(v); it sits
-inside [0, t]^E because every edge touches a degree-3 vertex.  Rows are stored
-as (coeffs, alpha, beta) meaning  sum_i coeffs_i * w_i <= alpha*t + beta.
+each bounded by alpha*t + beta, with (alpha, beta) fixed per pattern by the
+kind of system (the table KINDS below).
 
-A second row family encodes the reflexive-candidate polytope obtained by
-scaling the unit-dilation polytope by 4 and centering at the all-ones/4 point:
-per vertex, the four sign patterns
+* "membership", the graph polytope P_G: the perimeter row is bounded by t and
+  the three metric rows (w_a <= w_b + w_c, one per slot instance) by 0.  It
+  sits inside [0, t]^E because every edge touches a degree-3 vertex.
+* "reflexive", the candidate Q = 4 P_G - 1 obtained by scaling the
+  unit-dilation polytope by 4 and centering it at the all-ones/4 point: all
+  four rows are bounded by t, so the t-th dilate tQ lives in [-t, t]^E.
 
-    +w_a + w_b + w_c <= 1,  +w_a - w_b - w_c <= 1,
-    -w_a + w_b - w_c <= 1,  -w_a - w_b + w_c <= 1,
-
-whose solution set lives in [-1, 1]^E.
+Rows are stored as (coeffs, alpha, beta) meaning
+sum_i coeffs_i * w_i <= alpha*t + beta.
 """
 from __future__ import annotations
 
@@ -31,13 +29,21 @@ from .graphs import Graph, GraphError, validate_13
 
 Row = tuple[tuple[int, ...], int, int]
 
+SIGN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+
+# kind -> ((alpha, beta) for each of SIGN_PATTERNS, box)
+KINDS = {
+    "membership": (((1, 0), (0, 0), (0, 0), (0, 0)), "nonneg"),
+    "reflexive": (((1, 0),) * 4, "symmetric"),
+}
+
 
 @dataclass(frozen=True)
 class InequalitySystem:
     """Rows sum(c*w) <= alpha*t + beta over variables in edge_order.
 
-    box is "nonneg" (solutions lie in [0, t]^E) or "symmetric" (in [-s, s]^E
-    where s is the unit-row bound); it steers lattice enumeration only, the
+    box is "nonneg" (solutions of the t-th dilate lie in [0, t]^E) or
+    "symmetric" (in [-t, t]^E); it steers lattice enumeration only, the
     bounds being implied by the rows.
     """
 
@@ -46,20 +52,14 @@ class InequalitySystem:
     box: str = "nonneg"
 
 
-def _vertex_slot_rows(slots: Sequence[int], idx: Mapping[int, int], width: int) -> list[tuple[int, ...]]:
-    """Metric rows for one vertex, one per slot instance, built additively."""
-    rows = []
-    for i in range(len(slots)):
-        vec = [0] * width
-        for j, s in enumerate(slots):
-            vec[idx[s]] += 1 if j == i else -1
-        rows.append(tuple(vec))
-    return rows
+def _system(g: Graph, kind: str) -> InequalitySystem:
+    """The rows of KINDS[kind], vertices in ascending id order, each vertex's
+    four rows in the order of SIGN_PATTERNS.
 
-
-def inequality_system(g: Graph) -> InequalitySystem:
-    """Membership rows of the graph polytope, vertices in ascending id order."""
+    Coefficients are built additively, so a loop's two slots add up.
+    """
     validate_13(g)
+    bounds, box = KINDS[kind]
     order = g.edges
     idx = {e: i for i, e in enumerate(order)}
     rows: list[Row] = []
@@ -67,32 +67,23 @@ def inequality_system(g: Graph) -> InequalitySystem:
         if g.degrees[v] != 3:
             continue
         slots = g.slots(v)
-        perim = [0] * len(order)
-        for s in slots:
-            perim[idx[s]] += 1
-        rows.append((tuple(perim), 1, 0))
-        for vec in _vertex_slot_rows(slots, idx, len(order)):
-            rows.append((vec, 0, 0))
-    return InequalitySystem(order, tuple(rows), box="nonneg")
+        for pattern, (alpha, beta) in zip(SIGN_PATTERNS, bounds):
+            vec = [0] * len(order)
+            for sign, s in zip(pattern, slots):
+                vec[idx[s]] += sign
+            rows.append((tuple(vec), alpha, beta))
+    return InequalitySystem(order, tuple(rows), box)
+
+
+def inequality_system(g: Graph) -> InequalitySystem:
+    """Membership rows of the graph polytope: per degree-3 vertex the
+    perimeter row, then one metric row per slot instance."""
+    return _system(g, "membership")
 
 
 def reflexive_system(g: Graph) -> InequalitySystem:
     """Rows of the reflexive candidate: 4 sign-pattern rows per degree-3 vertex."""
-    validate_13(g)
-    order = g.edges
-    idx = {e: i for i, e in enumerate(order)}
-    rows: list[Row] = []
-    for v in sorted(g.vertex_ids):
-        if g.degrees[v] != 3:
-            continue
-        slots = g.slots(v)
-        patterns = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
-        for pat in patterns:
-            vec = [0] * len(order)
-            for sign, s in zip(pat, slots):
-                vec[idx[s]] += sign
-            rows.append((tuple(vec), 0, 1))
-    return InequalitySystem(order, tuple(rows), box="symmetric")
+    return _system(g, "reflexive")
 
 
 def contains(sys: InequalitySystem, w: Mapping[int, Fraction] | Sequence, t) -> bool:

@@ -114,10 +114,8 @@ def vertex_enumeration(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
         raise GraphError(f"vertex enumeration supports at most 7 edges, got {m}")
     rows = [row[0] for row in system.rows]
     vertices: set[tuple[Fraction, ...]] = set()
-    one = Fraction(1)
     for subset in combinations(rows, m):
-        matrix = [[Fraction(c) for c in row] for row in subset]
-        point = solve_square(matrix, [one] * m)
+        point = solve_square(subset, [1] * m)
         if point is None:
             continue
         if all(sum(c * x for c, x in zip(row, point)) <= 1 for row in rows):

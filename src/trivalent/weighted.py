@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exactlin import IntMatrix, identity
+from .exactlin import IntMatrix, identity, primitive
 from .graphs import Graph, GraphError
 from .nni import NniError, Trail, apply_nni
 
@@ -208,22 +208,14 @@ def site_normals(
 def site_hyperplanes(
     site: NniSite, edge_order: Sequence[int]
 ) -> list[tuple[int, ...]]:
-    """Normals of h1 and h2 in edge_order coordinates; zero normals dropped,
-    duplicates up to sign merged."""
+    """Normals of h1 and h2 in edge_order coordinates, each made primitive
+    (gcd 1, first nonzero entry positive); zero normals dropped, duplicates
+    merged."""
     out: list[tuple[int, ...]] = []
     for vec in site_normals(site, edge_order):
         if not any(vec):
             continue
-        norm = _sign_normalize(vec)
+        norm = primitive(vec)
         if norm not in out:
             out.append(norm)
     return out
-
-
-def _sign_normalize(vec: Sequence[int]) -> tuple[int, ...]:
-    for x in vec:
-        if x > 0:
-            return tuple(vec)
-        if x < 0:
-            return tuple(-y for y in vec)
-    return tuple(vec)

@@ -118,6 +118,12 @@ def test_ehrhart_count(capsys):
     assert payload["count"] == 5
 
 
+def test_tree_dp_on_a_graph_with_a_cycle_is_usage_error(capsys):
+    assert main(["ehrhart", "count", "theta", "-t", "2", "--method", "tree-dp"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --method tree-dp needs a tree")
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [(("ehrhart", "count", "claw"), "-t"), (("ehrhart", "semireflexive", "claw"), "-s")],

@@ -1,14 +1,17 @@
 """Cross-checks between the three lattice-point counting routes."""
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from trivalent.catalog import (
     claw,
+    connected_13_classes,
     dumbbell,
     k4,
     lollipop,
+    t4,
     theta,
     tree_caterpillar_four,
     tree_spider_four,
@@ -24,7 +27,7 @@ from trivalent.counting import (
 )
 from trivalent.ehrhart import verlinde_count
 from trivalent.graphs import make_graph
-from trivalent.polytope import contains, inequality_system
+from trivalent.polytope import inequality_system, reflexive_system
 
 
 def prism():
@@ -86,13 +89,32 @@ def test_strict_counting():
     )
 
 
+def _box_points(sys, t, strict=False):
+    """Reference: every point of the box, in lexicographic order, kept when it
+    satisfies each row (strictly, with strict=True)."""
+    m = len(sys.edge_order)
+    lo = 0 if sys.box == "nonneg" else -t
+    box = np.array(list(product(range(lo, t + 1), repeat=m)), dtype=np.int64)
+    coeffs = np.array([c for c, _, _ in sys.rows], dtype=np.int64)
+    bound = np.array([alpha * t + beta for _, alpha, beta in sys.rows], dtype=np.int64)
+    lhs = box @ coeffs.T
+    keep = (lhs < bound) if strict else (lhs <= bound)
+    return [tuple(map(int, p)) for p in box[keep.all(axis=1)]]
+
+
 def test_iter_lattice_points_matches_membership():
-    g = theta()
-    sys = inequality_system(g)
-    pts = list(iter_lattice_points(sys, 4))
-    assert len(pts) == len(set(pts)) == count_backtracking(sys, 4)
-    assert all(contains(sys, p, 4) for p in pts)
-    assert pts == sorted(pts)  # deterministic lexicographic order
+    # every class with at most 7 edges; the reflexive box [-t, t]^7 is kept small
+    graphs = [g for group in connected_13_classes(7).values() for g in group]
+    assert len(graphs) == 28
+    for g in graphs:
+        for system, t_max in ((inequality_system(g), 4), (reflexive_system(g), 2)):
+            for t in range(t_max + 1):
+                pts = list(iter_lattice_points(system, t))
+                assert pts == _box_points(system, t), (g, system.box, t)
+                assert count_backtracking(system, t) == len(pts), (g, system.box, t)
+                assert count_backtracking(system, t, strict=True) == len(
+                    _box_points(system, t, strict=True)
+                ), (g, system.box, t)
 
 
 def test_elimination_reflexive_kind():
@@ -101,6 +123,19 @@ def test_elimination_reflexive_kind():
     assert count_elimination(claw(), 0, kind="reflexive") == 1
     # interior counts at t+1 reproduce closed counts at t for a reflexive body
     assert count_elimination(claw(), 2, kind="reflexive", strict=True) == 11
+
+
+@pytest.mark.parametrize(
+    "g", [claw(), theta(), dumbbell(), k4(), t4(), prism()],
+    ids=["claw", "theta", "dumbbell", "k4", "t4", "prism"],
+)
+@pytest.mark.parametrize("t", [0, 1, 2, 3, Fraction(5, 2)], ids=str)
+def test_backtracking_matches_elimination_on_reflexive(g, t):
+    sys = reflexive_system(g)
+    for strict in (False, True):
+        assert count_backtracking(sys, t, strict=strict) == count_elimination(
+            g, t, kind="reflexive", strict=strict
+        )
 
 
 def test_k4_counts():

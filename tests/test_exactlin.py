@@ -5,7 +5,6 @@ from trivalent.exactlin import (
     determinant,
     divide_gcd,
     identity,
-    matmul,
     matvec,
     max_epsilon,
     primitive,
@@ -14,13 +13,14 @@ from trivalent.exactlin import (
 )
 
 
-def test_identity_and_matmul():
+def test_identity():
     i3 = identity(3)
+    assert i3 == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert identity(0) == ()
     a = ((1, 2, 0), (0, 1, 5), (0, 0, 1))
-    assert matmul(a, i3) == a
-    assert matmul(i3, a) == a
-    b = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
-    assert matmul(a, b) == ((2, 1, 0), (1, 0, 5), (0, 0, 1))
+    # a @ i3 column by column, and i3 @ a row by row
+    assert tuple(zip(*(matvec(a, col) for col in i3))) == a
+    assert tuple(vecmat(row, a) for row in i3) == a
 
 
 def test_matvec_vecmat():
@@ -106,6 +106,43 @@ def test_solve_square():
     x = solve_square(((2, 1), (1, 3)), (5, 10))
     assert x == (Fraction(1), Fraction(3))
     assert solve_square(((1, 1), (2, 2)), (1, 2)) is None  # singular
+
+
+def _fraction_solve(m, rhs):
+    """Reference: Gauss-Jordan elimination over the rationals; None if singular."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(m, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return tuple(a[i][n] for i in range(n))
+
+
+def test_solve_square_matches_fraction_gauss_jordan():
+    rng = random.Random(19680101)
+    seen = {"singular": 0, "swap": 0, "rational": 0}
+    for n in range(8):
+        for _ in range(25):
+            for m in _random_matrices(rng, n):
+                rational = rng.random() < 0.5
+                if rational:
+                    m = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in m]
+                rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+                expected = _fraction_solve(m, rhs)
+                got = solve_square(m, rhs)
+                assert got == expected, (m, rhs)
+                assert got is None or all(type(x) is Fraction for x in got)
+                seen["singular"] += got is None
+                seen["swap"] += n > 0 and m[0][0] == 0 and got is not None
+                seen["rational"] += rational and got is not None
+    assert all(seen.values()), seen
 
 
 def test_max_epsilon_feasible():

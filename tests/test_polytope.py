@@ -45,11 +45,13 @@ def test_contains():
 def test_reflexive_rows():
     sys = reflexive_system(claw())
     assert sys.box == "symmetric"
-    assert ((1, 1, 1), 0, 1) in sys.rows
-    assert ((1, -1, -1), 0, 1) in sys.rows
-    assert ((-1, 1, -1), 0, 1) in sys.rows
-    assert ((-1, -1, 1), 0, 1) in sys.rows
+    # every row is bounded by t, so the rows dilate
+    assert ((1, 1, 1), 1, 0) in sys.rows
+    assert ((1, -1, -1), 1, 0) in sys.rows
+    assert ((-1, 1, -1), 1, 0) in sys.rows
+    assert ((-1, -1, 1), 1, 0) in sys.rows
     assert len(sys.rows) == 4
     assert contains(sys, (0, 0, 0), 1)
     assert contains(sys, (1, 1, -1), 1)  # a vertex of the body
     assert not contains(sys, (1, 1, 1), 1)
+    assert contains(sys, (2, 2, -2), 2) and not contains(sys, (2, 2, -2), 1)

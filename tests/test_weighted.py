@@ -68,7 +68,8 @@ def test_site_hyperplanes_normalized():
     g = theta()
     site = resolve_site(g, Trail(1, 1, 3, 2, 2))
     planes = site_hyperplanes(site, g.edges)
-    assert len(planes) <= 2
+    # h1 vanishes (a = d, b = c); h2 = 2w_1 - 2w_2 is stored primitive
+    assert planes == [(1, -1, 0)]
     for vec in planes:
         lead = next(x for x in vec if x != 0)
         assert lead > 0
