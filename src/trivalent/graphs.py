@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 
 class GraphError(ValueError):
@@ -77,17 +77,21 @@ class Graph:
         except KeyError:
             raise GraphError(f"no vertex with id {v}") from None
 
+    @cached_property
+    def _slot_map(self) -> dict[int, tuple[int, ...]]:
+        """vertex -> sorted multiset of its edge ids, built in one pass."""
+        out: dict[int, list[int]] = {v: [] for v in self.vertex_ids}
+        for e, a, b in self.edge_list:
+            out[a].append(e)
+            out[b].append(e)  # a loop lands twice at the same vertex
+        return {v: tuple(sorted(es)) for v, es in out.items()}
+
     def slots(self, v: int) -> tuple[int, ...]:
         """Edge ids at v as a sorted multiset; a loop appears twice."""
-        out: list[int] = []
-        for e, a, b in self.edge_list:
-            if a == v:
-                out.append(e)
-            if b == v:
-                out.append(e)
-        if not out and v not in self.vertex_ids:
-            raise GraphError(f"no vertex with id {v}")
-        return tuple(sorted(out))
+        try:
+            return self._slot_map[v]
+        except KeyError:
+            raise GraphError(f"no vertex with id {v}") from None
 
     def incident_edges(self, v: int) -> tuple[int, ...]:
         """Distinct edge ids at v, sorted (a loop appears once)."""
@@ -142,15 +146,6 @@ class Graph:
 
     # -- rebuilding --------------------------------------------------------
 
-    def replace_endpoints(self, e: int, u: int, v: int) -> "Graph":
-        if e not in self.incidence:
-            raise GraphError(f"no edge with id {e}")
-        lo, hi = min(u, v), max(u, v)
-        new_list = tuple(
-            (eid, lo, hi) if eid == e else (eid, a, b) for eid, a, b in self.edge_list
-        )
-        return Graph(self.vertex_ids, new_list)
-
     def rename_edges(self, mapping: Mapping[int, int]) -> "Graph":
         """Relabel edges: id x becomes mapping[x] (ids not in mapping keep their id)."""
         new_ids = [mapping.get(e, e) for e, _, _ in self.edge_list]
@@ -163,7 +158,7 @@ class Graph:
 
     def signature_multiset(self) -> tuple[tuple[int, ...], ...]:
         """Sorted multiset of per-vertex slot multisets (isolated vertices as ())."""
-        return tuple(sorted(self.slots(v) for v in self.vertex_ids))
+        return tuple(sorted(self._slot_map.values()))
 
 
 def make_graph(

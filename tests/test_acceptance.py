@@ -35,13 +35,13 @@ from trivalent.graphs import (
     make_graph,
     same_labeled_graph,
     spanning_tree,
-    validate_13,
 )
 from trivalent.nni import graph_sequence, replay, tree_sequence
 from trivalent.polytope import inequality_system
 from trivalent.reflexive import h_star, hstar_consistent_with_volume, reflexivity_check
 from trivalent.scissors import build_decomposition, verify_decomposition
 
+from labeled_trees import random_four_internal, trees_three_internal, trees_two_internal
 from wnni_properties import (
     check_boundary_continuity,
     check_involution,
@@ -109,7 +109,7 @@ def test_criterion_04_volume_closed_form():
         assert all(c == lead for c in report.leading)
 
 
-def test_criterion_05_scissors_tiling():
+def test_criterion_05_scissors_tiling(k4_t4):
     # theta -> dumbbell: exactly two pieces with the advertised matrices
     seq = graph_sequence(theta(), dumbbell())
     d = build_decomposition(theta(), seq)
@@ -125,11 +125,10 @@ def test_criterion_05_scissors_tiling():
         assert check.unique_cover and check.matches_replay and check.image_is_target
 
     # K4 -> T4 along the constructed sequence
-    seq = graph_sequence(k4(), t4())
+    seq, d = k4_t4
     assert same_labeled_graph(
         replay(k4(), seq.moves).rename_edges(seq.relabel_map), t4()
     )
-    d = build_decomposition(k4(), seq)
     report = verify_decomposition(d, range(5))
     assert report.ok and set(report.determinants) <= {1, -1}
     for check in report.dilations:
@@ -187,83 +186,6 @@ def test_criterion_08_semi_reflexivity():
             assert count == floor_count == count_points(g, int(s))
 
 
-# -- criterion 9 helpers: labeled tree enumerators -------------------------------
-
-
-def _trees_two_internal():
-    """Every {1,3}-tree on edge ids 1..5 (internal pair of vertices fixed)."""
-    out = []
-    for mid in range(1, 6):
-        rest = [e for e in range(1, 6) if e != mid]
-        for pair in combinations(rest, 2):
-            other = tuple(e for e in rest if e not in pair)
-            out.append(
-                make_graph(
-                    [
-                        (mid, 1, 2),
-                        (pair[0], 1, 3),
-                        (pair[1], 1, 4),
-                        (other[0], 2, 5),
-                        (other[1], 2, 6),
-                    ]
-                )
-            )
-    return out
-
-
-def _trees_three_internal(internal_pair):
-    """Every {1,3}-tree on edge ids 1..7 whose internal ids are the given pair."""
-    out = []
-    ia, ib = internal_pair
-    ext = [e for e in range(1, 8) if e not in internal_pair]
-    for e12, e23 in ((ia, ib), (ib, ia)):
-        for left in combinations(ext, 2):
-            rest = [e for e in ext if e not in left]
-            for midleaf in rest:
-                right = tuple(e for e in rest if e != midleaf)
-                out.append(
-                    make_graph(
-                        [
-                            (e12, 1, 2),
-                            (e23, 2, 3),
-                            (left[0], 1, 4),
-                            (left[1], 1, 5),
-                            (midleaf, 2, 6),
-                            (right[0], 3, 7),
-                            (right[1], 3, 8),
-                        ]
-                    )
-                )
-    return out
-
-
-def _random_four_internal(rng, spider):
-    """A random labeled {1,3}-tree with 4 internal vertices.
-
-    Internal edge ids are 1..3 and external ids 4..9 so that caterpillar and
-    spider labelings share their label data and can be paired directly.
-    """
-    internal = rng.sample((1, 2, 3), 3)
-    ext = rng.sample(range(4, 10), 6)
-    if spider:
-        edges = [(internal[i], 1, 2 + i) for i in range(3)]
-        leaf = 5
-        for arm in (2, 3, 4):
-            edges += [(ext.pop(), arm, leaf), (ext.pop(), arm, leaf + 1)]
-            leaf += 2
-    else:
-        edges = [(internal[i], 1 + i, 2 + i) for i in range(3)]
-        groups = [(1, 2), (2, 1), (3, 1), (4, 2)]
-        leaf = 5
-        for v, k in groups:
-            for _ in range(k):
-                edges += [(ext.pop(), v, leaf)]
-                leaf += 1
-    g = make_graph(edges)
-    validate_13(g)
-    return g
-
-
 def test_criterion_09_nni_engine_soundness():
     # tree_sequence: exhaustive over labeled trees with 1..3 internal vertices
     one = [make_graph([(1, 1, 2), (2, 1, 3), (3, 1, 4)])]
@@ -271,7 +193,7 @@ def test_criterion_09_nni_engine_soundness():
         for b in one:
             assert same_labeled_graph(replay(a, tree_sequence(a, b).moves), b)
 
-    two = _trees_two_internal()
+    two = trees_two_internal()
     by_internal = {}
     for g in two:
         by_internal.setdefault(frozenset(classify_edges(g)[1]), []).append(g)
@@ -282,7 +204,7 @@ def test_criterion_09_nni_engine_soundness():
                 assert same_labeled_graph(replay(a, seq.moves), b)
 
     for internal_pair in combinations(range(1, 8), 2):
-        group = _trees_three_internal(internal_pair)
+        group = trees_three_internal(internal_pair)
         for a in group:
             for b in group:
                 seq = tree_sequence(a, b)
@@ -290,7 +212,7 @@ def test_criterion_09_nni_engine_soundness():
 
     # four internal vertices: seeded samples, including caterpillar/spider pairs
     rng = random.Random(61009)
-    trees = [_random_four_internal(rng, spider=bool(i % 2)) for i in range(30)]
+    trees = [random_four_internal(rng, spider=bool(i % 2)) for i in range(30)]
     for _ in range(120):
         a, b = rng.choice(trees), rng.choice(trees)
         seq = tree_sequence(a, b)

@@ -1,10 +1,16 @@
 """NNI moves, canonical caterpillar normalization, and sequence search."""
+import random
+from itertools import combinations
+
 import pytest
 
+from trivalent import nni
 from trivalent.catalog import (
     claw,
+    connected_13_classes,
     dumbbell,
     k4,
+    lollipop,
     t4,
     theta,
     tree_caterpillar_four,
@@ -13,6 +19,7 @@ from trivalent.catalog import (
     tree_two_internal,
 )
 from trivalent.graphs import (
+    Graph,
     GraphError,
     classify_edges,
     make_graph,
@@ -25,6 +32,7 @@ from trivalent.nni import (
     NniError,
     Trail,
     apply_nni,
+    canonical_caterpillar_sequence,
     graph_sequence,
     is_caterpillar,
     legal_trails,
@@ -32,6 +40,34 @@ from trivalent.nni import (
     reverse_sequence,
     tree_sequence,
 )
+
+from labeled_trees import trees_three_internal
+
+
+def reference_replay(g, moves):
+    """Replay as one Graph rebuild per slid end: the oracle for replay."""
+    for t in moves:
+        g = _rebuild_end(_rebuild_end(g, t.a, t.u, t.v), t.b, t.v, t.u)
+    return g
+
+
+def _rebuild_end(g, e, src, dst):
+    p, q = g.endpoints(e)
+    keep = q if p == src else p
+    lo, hi = min(keep, dst), max(keep, dst)
+    return Graph(
+        g.vertex_ids,
+        tuple((x, lo, hi) if x == e else (x, a, b) for x, a, b in g.edge_list),
+    )
+
+
+def _loops(g):
+    return sum(1 for _, u, v in g.edge_list if u == v)
+
+
+def _replay_cases():
+    graphs = [g for group in connected_13_classes(7).values() for g in group]
+    return graphs + [theta(), dumbbell(), lollipop()]
 
 
 def test_apply_nni_theta_to_dumbbell():
@@ -52,6 +88,40 @@ def test_apply_nni_rejects_illegal_trails():
         apply_nni(d, Trail(1, 2, 3, 1, 2))  # a does not sit at u
     with pytest.raises(NniError):
         apply_nni(d, Trail(3, 1, 1, 1, 3))  # loop pivot
+    with pytest.raises(NniError, match="edge 9 does not exist"):
+        apply_nni(g, Trail(9, 1, 3, 2, 2))  # a does not exist
+    with pytest.raises(NniError, match="edge 9 does not exist"):
+        apply_nni(g, Trail(1, 1, 3, 2, 9))  # b does not exist
+    with pytest.raises(NniError, match="pivot edge 9 does not exist"):
+        apply_nni(g, Trail(1, 1, 9, 2, 2))
+    # a legal move followed by an illegal one: replay stops at the second
+    with pytest.raises(NniError, match="pivot edge 1 is a loop"):
+        replay(g, [Trail(1, 1, 3, 2, 2), Trail(3, 1, 1, 1, 3)])
+
+
+def test_replay_matches_reference_on_every_legal_move():
+    made = broken = 0
+    for g in _replay_cases():
+        for trail in legal_trails(g):
+            h = apply_nni(g, trail)
+            assert h == reference_replay(g, [trail]), (g, trail)
+            made += _loops(h) > _loops(g)
+            broken += _loops(h) < _loops(g)
+    assert made and broken  # moves that make and break loops were covered
+
+
+def test_replay_matches_reference_on_seeded_walks():
+    rng = random.Random(6011)
+    for g in _replay_cases():
+        for _ in range(4):
+            walk, h = [], g
+            for _ in range(8):
+                trails = list(legal_trails(h))
+                if not trails:
+                    break
+                walk.append(rng.choice(trails))
+                h = apply_nni(h, walk[-1])
+            assert replay(g, walk) == reference_replay(g, walk) == h, (g, walk)
 
 
 def test_reverse_move_round_trip():
@@ -147,3 +217,33 @@ def test_graph_sequence_k4_t4():
 def test_graph_sequence_needs_equal_degree_data():
     with pytest.raises(GraphError):
         graph_sequence(theta(), k4())
+
+
+def test_canonical_cache_returns_fresh_lists():
+    g = tree_spider_four()
+    moves, c = canonical_caterpillar_sequence(g)
+    expected = list(moves)
+    assert expected  # the spider is not a caterpillar
+    moves.clear()
+    again, c2 = canonical_caterpillar_sequence(g)
+    assert again == expected and c2 == c
+
+
+def test_canonical_cache_keys_on_graph_value():
+    edges = [(1, 1, 2), (2, 2, 3), (3, 1, 4), (4, 1, 5), (5, 2, 6), (6, 3, 7), (7, 3, 8)]
+    a, b = make_graph(edges), make_graph(edges)
+    assert a == b and a is not b
+    first = canonical_caterpillar_sequence(a)
+    hits = nni._canonical.cache_info().hits
+    assert canonical_caterpillar_sequence(b) == first
+    assert nni._canonical.cache_info().hits == hits + 1
+
+
+def test_canonical_cache_matches_cold_computation():
+    trees = [t for pair in combinations(range(1, 8), 2) for t in trees_three_internal(pair)]
+    assert len(trees) == 1260
+    for t in trees:
+        canonical_caterpillar_sequence(t)
+        cached = canonical_caterpillar_sequence(t)  # read from the cache
+        nni._canonical.cache_clear()
+        assert canonical_caterpillar_sequence(t) == cached, t

@@ -153,8 +153,8 @@ def test_every_theta_piece_exercised(theta_decomposition):
     _check_every_piece(theta_decomposition)
 
 
-def test_every_k4_t4_piece_exercised():
-    d = build_decomposition(k4(), graph_sequence(k4(), t4()))
+def test_every_k4_t4_piece_exercised(k4_t4):
+    _, d = k4_t4
     assert len(d.pieces) == 3961
     _check_every_piece(d)
 
