@@ -62,25 +62,37 @@ class QuasiPolynomial:
         )
 
 
-def _interpolate(points: Sequence[tuple[int, int]]) -> tuple[Fraction, ...]:
-    """Exact Lagrange interpolation; coefficients ascending, len == len(points)."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        # basis polynomial prod_{j != i} (X - xj) / (xi - xj)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = [Fraction(0)] + basis
-            for k in range(len(basis) - 1):
-                basis[k] -= xj * basis[k + 1]
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for k in range(len(basis)):
-            coeffs[k] += scale * basis[k]
-    return tuple(coeffs)
+def _interpolate(start: int, values: Sequence[int]) -> tuple[Fraction, ...]:
+    """The polynomial through (start + 4k, values[k]); coefficients
+    ascending, len == len(values).
+
+    Newton's forward-difference form: with d_j the j-th forward difference of
+    the integer values at k = 0 and m = len(values) - 1,
+
+        p(t) = sum_j d_j * prod_{i<j} (t - start - 4i) / (4^j j!).
+
+    Everything is expanded in integers over the common denominator 4^m m!,
+    so O(m^2) integer operations and one Fraction per coefficient.
+    """
+    m = len(values) - 1
+    diffs = list(values)
+    for j in range(1, m + 1):  # diffs[j] becomes the j-th difference at k = 0
+        for k in range(m, j - 1, -1):
+            diffs[k] -= diffs[k - 1]
+    numer = [0] * (m + 1)
+    basis = [1]  # prod_{i<j} (t - start - 4i), ascending
+    denom = 4**m * factorial(m)
+    scale = denom  # 4^(m-j) m!/j!, so each term sits over 4^m m!
+    for j, d in enumerate(diffs):
+        for k, b in enumerate(basis):
+            numer[k] += d * scale * b
+        if j < m:
+            root = start + 4 * j
+            basis = [-root * basis[0]] + [
+                basis[k - 1] - root * basis[k] for k in range(1, len(basis))
+            ] + [basis[-1]]
+            scale //= 4 * (j + 1)
+    return tuple(Fraction(c, denom) for c in numer)
 
 
 def quasi_polynomial(
@@ -98,8 +110,7 @@ def quasi_polynomial(
     m = len(g.edges)
     constituents = []
     for r in range(4):
-        pts = [(r + 4 * k, counter(r + 4 * k)) for k in range(m + 1)]
-        coeffs = _interpolate(pts)
+        coeffs = _interpolate(r, [counter(r + 4 * k) for k in range(m + 1)])
         probe = r + 4 * (m + 1)
         value = sum(c * probe**i for i, c in enumerate(coeffs))
         if value != counter(probe):

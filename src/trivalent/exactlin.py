@@ -81,25 +81,29 @@ def determinant(m: IntMatrix) -> int:
 
 
 def solve_square(m: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
-    """Solve Mx = rhs exactly; None when M is singular.
+    """Solve Mx = rhs exactly; None when M is singular.  Entries are ints or
+    Fractions.
 
-    Each row of [M | rhs] is scaled to integers by the lcm of its
-    denominators, eliminated fraction-free, and the triangular result solved
-    by back-substitution in Fractions.
+    Integer arithmetic until the last step: each row of [M | rhs] is scaled to
+    integers by the lcm of its denominators and eliminated fraction-free.  The
+    last pivot d is then the determinant of the scaled, row-permuted matrix,
+    so by Cramer's rule y = d*x is an integer vector, and back-substitution
+    for y divides exactly by each pivot.  One Fraction y_k / d per entry.
     """
     n = len(m)
     a = []
     for row, r in zip(m, rhs):
-        entries = [Fraction(x) for x in (*row, r)]
+        entries = (*row, r)
         scale = lcm(*(x.denominator for x in entries))
         a.append([x.numerator * (scale // x.denominator) for x in entries])
     if not _bareiss(a, n):
         return None
-    x = [Fraction(0)] * n
+    det = a[-1][n - 1] if n else 1
+    y = [0] * n
     for k in reversed(range(n)):
         row = a[k]
-        x[k] = Fraction(row[n] - sum(row[j] * x[j] for j in range(k + 1, n)), row[k])
-    return tuple(x)
+        y[k] = (det * row[n] - sum(row[j] * y[j] for j in range(k + 1, n))) // row[k]
+    return tuple(Fraction(v, det) for v in y)
 
 
 def max_epsilon(

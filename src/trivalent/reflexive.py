@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
 
+from . import exactlin
 from .counting import count_elimination
 from .graphs import Graph, GraphError
 from .polytope import reflexive_system
@@ -103,11 +104,13 @@ def hstar_consistent_with_volume(g: Graph, vector: HStarVector, leading: Fractio
 def vertex_enumeration(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
     """All vertices of Q, by brute-force facet subsystem solving.
 
-    Guarded to at most 7 edges: the subset count C(4k, m) explodes beyond
-    that, and the acceptance workloads never need more.
+    Each m-subset of the facet rows is solved exactly by
+    `exactlin.solve_square`; a solution x = num / den (den the lcm of its
+    denominators, num an integer vector) is a vertex when row . num <= den
+    for every row, a test in integers only.  Guarded to at most 7 edges: the
+    subset count C(4k, m) explodes beyond that, and the acceptance workloads
+    never need more.
     """
-    from .exactlin import solve_square
-
     system = reflexive_system(g)
     m = len(system.edge_order)
     if m > 7:
@@ -115,9 +118,11 @@ def vertex_enumeration(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
     rows = [row[0] for row in system.rows]
     vertices: set[tuple[Fraction, ...]] = set()
     for subset in combinations(rows, m):
-        point = solve_square(subset, [1] * m)
+        point = exactlin.solve_square(subset, [1] * m)
         if point is None:
             continue
-        if all(sum(c * x for c, x in zip(row, point)) <= 1 for row in rows):
-            vertices.add(tuple(point))
+        den = lcm(*(x.denominator for x in point))
+        num = [x.numerator * (den // x.denominator) for x in point]
+        if all(sum(c * x for c, x in zip(row, num)) <= den for row in rows):
+            vertices.add(point)
     return tuple(sorted(vertices))

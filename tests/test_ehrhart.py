@@ -1,13 +1,23 @@
 """Quasi-polynomials, the trigonometric count, and the Bernoulli closed form."""
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from trivalent.catalog import claw, dumbbell, k4, t4, theta, tree_two_internal
+from trivalent.catalog import (
+    claw,
+    connected_13_classes,
+    dumbbell,
+    k4,
+    t4,
+    theta,
+    tree_two_internal,
+)
 from trivalent.counting import count_points
 from trivalent.ehrhart import (
     QuasiPolynomial,
+    _interpolate,
     quasi_polynomial,
     semi_reflexive_check,
     verlinde_count,
@@ -58,6 +68,56 @@ def test_custom_counter():
     qp = quasi_polynomial(claw(), counter=counter)
     assert qp.constituents == (CLAW_EVEN, CLAW_ODD)
     assert calls  # the provided counter was actually exercised
+
+
+def _lagrange(points):
+    """Reference: Lagrange interpolation in Fractions; coefficients ascending."""
+    n = len(points)
+    coeffs = [Fraction(0)] * n
+    for i, (xi, yi) in enumerate(points):
+        # basis polynomial prod_{j != i} (X - xj) / (xi - xj)
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            basis = [Fraction(0)] + basis
+            for k in range(len(basis) - 1):
+                basis[k] -= xj * basis[k + 1]
+            denom *= xi - xj
+        scale = Fraction(yi) / denom
+        for k in range(len(basis)):
+            coeffs[k] += scale * basis[k]
+    return tuple(coeffs)
+
+
+def test_interpolate_matches_lagrange():
+    rng = random.Random(20180412)
+    for n in range(1, 13):
+        for r in range(4):
+            for _ in range(6):
+                bound = rng.choice((3, 10**4, 10**30))
+                values = [rng.randint(-bound, bound) for _ in range(n)]
+                got = _interpolate(r, values)
+                assert got == _lagrange([(r + 4 * k, y) for k, y in enumerate(values)])
+                assert len(got) == n and all(type(c) is Fraction for c in got)
+
+
+def test_quasi_polynomial_equals_lagrange_fit_on_census():
+    for group in connected_13_classes(7).values():
+        for g in group:
+            counts = {}
+
+            def counter(t, g=g):
+                if t not in counts:
+                    counts[t] = count_points(g, t)
+                return counts[t]
+
+            qp = quasi_polynomial(g, counter=counter)
+            m = len(g.edges)
+            for r in range(4):
+                fit = _lagrange([(r + 4 * k, counts[r + 4 * k]) for k in range(m + 1)])
+                assert qp.constituents[r % qp.period] == fit
 
 
 @pytest.mark.parametrize(

@@ -108,6 +108,45 @@ def test_solve_square():
     assert solve_square(((1, 1), (2, 2)), (1, 2)) is None  # singular
 
 
+def test_solve_square_integer_inputs():
+    x = solve_square(((3, 1, 0), (1, 2, 1), (0, 1, 4)), (1, 1, 1))
+    assert x == (Fraction(4, 17), Fraction(5, 17), Fraction(3, 17))
+    assert all(type(v) is Fraction for v in x)
+    assert solve_square(((5,),), (10,)) == (Fraction(2),)
+    assert solve_square((), ()) == ()
+
+
+def test_solve_square_mixed_rows():
+    # rows mixing ints and Fractions, each scaled by its own lcm
+    m = ((Fraction(1, 2), 1), (2, Fraction(-1, 3)))
+    rhs = (Fraction(3, 4), 1)
+    x = solve_square(m, rhs)
+    assert x == _fraction_solve(m, rhs) == (Fraction(15, 26), Fraction(6, 13))
+    assert solve_square(((Fraction(1, 2), Fraction(3, 2)), (1, 3)), (1, 2)) is None
+
+
+def test_solve_square_negative_determinant():
+    # det = -1 through a row swap: the permuted matrix has det 1
+    m = ((0, 1), (1, 0))
+    assert determinant(m) == -1
+    assert solve_square(m, (2, 7)) == (Fraction(7), Fraction(2))
+    # det = -1 with no swap: the last Bareiss pivot is -1, so y = det * x
+    # carries the opposite sign of x
+    m = ((1, 2, 0), (3, 1, 1), (0, 1, 0))
+    assert determinant(m) == -1
+    rhs = (Fraction(1, 3), 5, -2)
+    assert solve_square(m, rhs) == _fraction_solve(m, rhs) == (
+        Fraction(13, 3), Fraction(-2), Fraction(-6),
+    )
+
+
+def test_solve_square_singular():
+    assert solve_square(((0, 0), (0, 0)), (0, 0)) is None
+    assert solve_square(((1, 2, 3), (2, 4, 6), (0, 1, 1)), (1, 2, 3)) is None
+    assert solve_square(((1, 1, 0), (0, 1, 1), (1, 2, 1)), (1, 1, 1)) is None
+    assert solve_square(((Fraction(2, 3), 1), (Fraction(4, 3), 2)), (0, 1)) is None
+
+
 def _fraction_solve(m, rhs):
     """Reference: Gauss-Jordan elimination over the rationals; None if singular."""
     n = len(m)

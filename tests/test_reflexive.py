@@ -1,11 +1,14 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from test_exactlin import _fraction_solve
 
 from trivalent.catalog import claw, connected_13_classes, dumbbell, k4, theta
 from trivalent.counting import count_elimination
 from trivalent.ehrhart import quasi_polynomial
 from trivalent.graphs import GraphError
+from trivalent.polytope import reflexive_system
 from trivalent.reflexive import (
     HStarVector,
     h_star,
@@ -87,3 +90,30 @@ def test_vertices_are_lattice_points_inside():
         for v in vertex_enumeration(g):
             assert contains(sys, v, 1)
             assert all(x.denominator == 1 for x in map(Fraction, v))
+
+
+def _fraction_vertices(g):
+    """Reference: every m-subset of facet rows solved and tested in Fractions."""
+    system = reflexive_system(g)
+    m = len(system.edge_order)
+    rows = [row[0] for row in system.rows]
+    vertices = set()
+    for subset in combinations(rows, m):
+        point = _fraction_solve(subset, [1] * m)
+        if point is None:
+            continue
+        if all(sum(c * x for c, x in zip(row, point)) <= 1 for row in rows):
+            vertices.add(point)
+    return tuple(sorted(vertices))
+
+
+def test_vertex_enumeration_matches_fraction_loop():
+    graphs = [
+        g for (_, m), group in sorted(connected_13_classes(7).items()) if m <= 5
+        for g in group
+    ]
+    assert len(graphs) == 10
+    for g in graphs:
+        got = vertex_enumeration(g)
+        assert got == _fraction_vertices(g)
+        assert all(type(x) is Fraction for v in got for x in v)
