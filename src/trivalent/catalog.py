@@ -51,10 +51,6 @@ def lollipop() -> Graph:
     return make_graph([(1, 1, 1), (2, 1, 2)])
 
 
-def tree_one_internal() -> Graph:
-    return claw()
-
-
 def tree_two_internal() -> Graph:
     """The unique {1,3}-tree with 5 edges."""
     return make_graph([(1, 1, 2), (2, 1, 3), (3, 1, 4), (4, 2, 5), (5, 2, 6)])
@@ -110,7 +106,7 @@ def tree_spider_four() -> Graph:
 
 
 TABLE_TREES: dict[int, tuple[Graph, ...]] = {
-    3: (tree_one_internal(),),
+    3: (claw(),),
     5: (tree_two_internal(),),
     7: (tree_three_internal(),),
     9: (tree_caterpillar_four(), tree_spider_four()),

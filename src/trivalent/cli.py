@@ -89,6 +89,17 @@ def check_t_max(t_max: int) -> int:
     return t_max
 
 
+def parse_trail(text: str) -> Trail:
+    """A move trail written as five comma-separated integers a,u,e,v,b."""
+    try:
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != 5:
+        raise UsageError(f"--trail {text!r} is not five integers a,u,e,v,b")
+    return Trail(*values)
+
+
 def frac_str(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -152,13 +163,7 @@ def cmd_nni_sequence(args) -> int:
     seq = graph_sequence(g1, g2, restrict_to_spanning_trees=args.restrict)
     if args.output:
         Path(args.output).write_text(seq.to_json() + "\n")
-    emit(
-        {
-            "moves": [[t.a, t.u, t.e, t.v, t.b] for t in seq.moves],
-            "relabel": [list(p) for p in seq.relabel],
-            "length": len(seq.moves),
-        }
-    )
+    emit({**seq.to_jsonable(), "length": len(seq.moves)})
     return 0
 
 
@@ -188,7 +193,7 @@ def parse_weights(g: Graph, text: str) -> dict[int, Fraction]:
 def cmd_wnni_apply(args) -> int:
     g = load_graph(args.graph)
     w = parse_weights(g, args.weights)
-    trail = Trail(*(int(x) for x in args.trail.split(",")))
+    trail = parse_trail(args.trail)
     site = resolve_site(g, trail)
     case = case_of(site, w)
     out_graph, out_w = apply_weighted_nni(g, w, trail)
@@ -269,8 +274,7 @@ def cmd_ehrhart_semireflexive(args) -> int:
 
 def _decomposition_payload(d) -> dict:
     return {
-        "moves": [[t.a, t.u, t.e, t.v, t.b] for t in d.moves.moves],
-        "relabel": [list(p) for p in d.moves.relabel],
+        **d.moves.to_jsonable(),
         "edge_order": list(d.edge_order),
         "pieces": [
             {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Sequence
 
 import mpmath
@@ -180,13 +180,9 @@ def _bernoulli_numbers(upto: int) -> list[Fraction]:
     for mth in range(1, upto + 1):
         acc = Fraction(0)
         for j in range(mth):
-            acc += Fraction(_binom(mth + 1, j)) * out[j]
+            acc += Fraction(comb(mth + 1, j)) * out[j]
         out.append(-acc / (mth + 1))
     return out
-
-
-def _binom(n: int, k: int) -> int:
-    return factorial(n) // (factorial(k) * factorial(n - k))
 
 
 def _x_over_sin_powers(n: int) -> list[Fraction]:
@@ -241,7 +237,7 @@ def zagier_polynomial(n: int) -> tuple[Fraction, ...]:
         if c == 0:
             continue
         for j in range(deg + 1):
-            out[j] += c * _binom(deg, j) * 2 ** (deg - j)
+            out[j] += c * comb(deg, j) * 2 ** (deg - j)
     return tuple(out)
 
 

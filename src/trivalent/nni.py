@@ -68,21 +68,39 @@ class MoveSequence:
     def relabel_map(self) -> dict[int, int]:
         return dict(self.relabel)
 
-    def to_json(self) -> str:
-        payload = {
+    def to_jsonable(self) -> dict:
+        """The JSON form: moves as [a, u, e, v, b] lists, relabel as pairs."""
+        return {
             "moves": [[t.a, t.u, t.e, t.v, t.b] for t in self.moves],
             "relabel": [list(p) for p in self.relabel],
         }
-        return json.dumps(payload, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_jsonable(), sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "MoveSequence":
+        """Parse the JSON form; ValueError unless it is an object whose
+        "moves" are lists of five integers and "relabel" lists of two."""
         payload = json.loads(text)
-        moves = tuple(Trail(*entry) for entry in payload.get("moves", ()))
-        relabel = tuple(
-            (int(a), int(b)) for a, b in payload.get("relabel", ())
-        )
-        return MoveSequence(moves, tuple(sorted(relabel)))
+        if not isinstance(payload, dict):
+            raise ValueError("a move sequence must be a JSON object")
+        moves = tuple(Trail(*entry) for entry in _int_lists(payload, "moves", 5))
+        relabel = tuple(sorted((a, b) for a, b in _int_lists(payload, "relabel", 2)))
+        return MoveSequence(moves, relabel)
+
+
+def _int_lists(payload: dict, key: str, length: int) -> list[list[int]]:
+    """payload[key] (empty when absent), checked to be lists of `length` integers."""
+    entries = payload.get(key, [])
+    if not isinstance(entries, list) or not all(
+        isinstance(entry, list)
+        and len(entry) == length
+        and all(type(x) is int for x in entry)
+        for entry in entries
+    ):
+        raise ValueError(f'"{key}" must be a list of lists of {length} integers')
+    return entries
 
 
 def apply_nni(g: Graph, trail: Trail) -> Graph:

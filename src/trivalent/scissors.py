@@ -130,10 +130,6 @@ def _cone_rows(g: Graph) -> list[tuple[tuple[int, ...], int]]:
     return [(row[0], 0) for row in base.rows if row[1] == 0 and row[2] == 0]
 
 
-# slack columns a tableau layer stores at first; the store doubles when full
-_SLOTS = 8
-
-
 def _float_lps(
     problems: Sequence[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]], m: int
 ) -> list[tuple[float, list[float], list[float]] | None]:
@@ -146,17 +142,13 @@ def _float_lps(
     re-verified exactly by the caller, so this routine only has to be fast,
     not trustworthy.
 
-    All problems share one 3-D Dantzig tableau, one layer each, and every
-    layer gets, value for value, the arithmetic it would get alone (only the
-    sign of a zero may differ, which no comparison sees):
-    - a layer's rows are its weak rows, strict rows and the eps row; the rows
-      a shorter problem lacks are zero and stay zero, so no pivot picks them;
-    - a slack column stays the unit vector of its row, with reduced cost 0,
-      until its slack first leaves the basis, and only from then on is it
-      stored (after the right-hand side, x and eps) and updated;
-    - ties for the entering column go to the lowest column of the full
-      tableau (x, eps, then slacks by row), as a single LP's argmax has it;
-    - finished problems are dropped from the tableau.
+    All problems share one dense 3-D Dantzig tableau, one layer each, whose
+    columns are the right-hand side, x, eps, then one unit slack per row.
+    Each layer gets, value for value, the arithmetic it would get alone (only
+    the sign of a zero may differ, which no comparison sees): the rows a
+    shorter problem lacks are zero but for their own slack, which never
+    enters; the entering column is the objective row's first maximum, the
+    lowest column on ties, as a single LP's argmax has it.
     """
     out: list[tuple[float, list[float], list[float]] | None] = [None] * len(problems)
     if not problems:
@@ -164,81 +156,54 @@ def _float_lps(
     nweak = np.array([len(weak) for weak, _ in problems])
     sizes = nweak + [len(strict) + 1 for _, strict in problems]  # rows incl. eps row
     nrows = int(sizes.max())
-    ncols = m + 1 + nrows  # columns of the full tableau: x, eps, slacks
     rows = np.arange(nrows)
     vecs = [vec for weak, strict in problems for vec in (*weak, *strict)]
-    # stored columns: right-hand side, x, eps, then slacks that have left
-    T = np.zeros((len(problems), nrows + 1, m + 2 + _SLOTS))
+    T = np.zeros((len(problems), nrows + 1, m + 2 + nrows))
     layer, row = np.nonzero(rows < sizes[:, None] - 1)
     T[layer, row, 1 : m + 1] = np.fromiter(
         chain.from_iterable(vecs), float, len(vecs) * m
     ).reshape(-1, m)
     T[:, :nrows, m + 1] = (rows >= nweak[:, None]) & (rows < sizes[:, None])
     T[np.arange(len(problems)), sizes - 1, 0] = 1.0  # eps <= 1
+    T[:, :nrows, m + 2 :] = np.eye(nrows)
     T[:, nrows, m + 1] = 1.0  # objective: maximize eps
-    # full-tableau column of each stored column after the right-hand side;
-    # ncols marks a slot no slack has taken yet
-    column = np.full((len(problems), ncols), ncols)
-    column[:, : m + 1] = np.arange(m + 1)
-    # stored column of each row's basic variable; the slack of row i, not
-    # stored yet, is -1 - i
-    basis = np.tile(-1 - rows, (len(problems), 1))
-    slacks = np.zeros(len(problems), dtype=np.int64)  # slack columns stored
+    basis = np.tile(m + 2 + rows, (len(problems), 1))  # each row's basic column
     live = np.arange(len(problems))  # problem of each layer
     at = np.arange(len(problems))
-    width = m + 2  # stored columns in use
     for _ in range(200):
-        obj = T[:, nrows, 1:width]
-        best = obj.max(axis=1)
-        ties = np.where(obj == best[:, None], column[:, : width - 1], ncols)
-        entering = 1 + ties.argmin(axis=1)
+        entering = 1 + T[:, nrows, 1:].argmax(axis=1)
         factors = T[at, :, entering]  # the entering column, objective row included
         mask = factors[:, :nrows] > 1e-9
-        done = best <= 1e-9
+        done = factors[:, nrows] <= 1e-9
         # a column without a positive entry is unbounded, which eps <= 1
         # rules out: such a problem is dropped and stays None
         drop = done | ~mask.any(axis=1)
         if drop.any():
             k = np.flatnonzero(done)
-            n = np.arange(len(k))[:, None]
-            value = np.zeros((len(k), width))  # column 0 absorbs unstored slacks
-            value[n, np.maximum(basis[k], 0)] = T[k, :nrows, 0]
-            reduced = np.zeros((len(k), ncols + 1))
-            reduced[n, column[k, m + 1 : width - 1]] = T[k, nrows, m + 2 : width]
+            value = np.zeros((len(k), T.shape[2]))
+            value[np.arange(len(k))[:, None], basis[k]] = T[k, :nrows, 0]
             # the duals of the weak+strict rows are their slacks' reduced costs, negated
             for layer, eps, x, duals in zip(
                 k.tolist(),
                 (-T[k, nrows, 0]).tolist(),
                 value[:, 1 : m + 1].tolist(),
-                (-reduced).tolist(),
+                (-T[k, nrows, m + 2 :]).tolist(),
             ):
-                out[live[layer]] = (eps, x, duals[m + 1 : m + sizes[layer]])
+                out[live[layer]] = (eps, x, duals[: sizes[layer] - 1])
             keep = ~drop
-            live, sizes, slacks = live[keep], sizes[keep], slacks[keep]
+            live, sizes, T, basis = live[keep], sizes[keep], T[keep], basis[keep]
             if not len(live):
                 break
-            T, basis, column = T[keep], basis[keep], column[keep]
             entering, factors, mask = entering[keep], factors[keep], mask[keep]
             at = np.arange(len(live))
         ratios = np.full(mask.shape, np.inf)
         np.divide(T[:, :nrows, 0], factors[:, :nrows], out=ratios, where=mask)
         leave = ratios.argmin(axis=1)
-        # a slack leaving for the first time is stored as the unit column it was
-        leaving = basis[at, leave]
-        new = np.flatnonzero(leaving < 0)
-        if len(new):
-            if width == T.shape[2]:  # the store is full: double it
-                T = np.concatenate((T, np.zeros_like(T[:, :, m + 2 :])), axis=2)
-            slot = slacks[new]
-            T[new, leave[new], m + 2 + slot] = 1.0
-            column[new, m + 1 + slot] = m - leaving[new]
-            slacks[new] = slot + 1
-            width = max(width, m + 3 + int(slot.max()))
-        pivot = T[at, leave, :width]
+        pivot = T[at, leave]
         pivot /= factors[at, leave][:, None]
-        T[at, leave, :width] = pivot
+        T[at, leave] = pivot
         factors[at, leave] = 0.0
-        T[:, :, :width] -= np.einsum("li,lj->lij", factors, pivot)
+        T -= np.einsum("li,lj->lij", factors, pivot)
         basis[at, leave] = entering
     return out
 

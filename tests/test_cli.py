@@ -240,3 +240,17 @@ def test_tree_table_check(capsys):
     assert code == 0
     table = json.loads(out)
     assert table["3"]["odd"] == [[1, 4], [11, 24], [1, 4], [1, 24]]
+
+
+def test_short_trail_is_usage_error(capsys):
+    argv = ["wnni", "apply", "theta", "--weights", "1,1,1", "--trail", "1,2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --trail ")
+
+
+@pytest.mark.parametrize("text", ["[]", '{"moves": [[1, 2]]}'])
+def test_malformed_sequence_file_is_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "seq.json"
+    path.write_text(text)
+    assert main(["nni", "replay", "theta", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -265,18 +265,38 @@ def _recorded_lps(monkeypatch, source, seq):
     return d, [b for b in batches if b]
 
 
-def test_batched_lps_match_solving_each_alone(monkeypatch):
-    # the fifth and sixth moves bring ties for the entering column
-    _, batches = _recorded_lps(monkeypatch, k4(), _first_moves(k4(), t4(), 6))
-    problems = [p for batch in batches for p in batch]
-    assert len({len(w) + len(s) for w, s in problems}) > 1  # a ragged batch
-    m = len(k4().edges)
+def _rows(problem):
+    weak, strict = problem
+    return len(weak) + len(strict) + 1  # the eps row included
+
+
+def _assert_alone_and_together(problems, m):
+    """Each problem alone matches the single-LP reference, and one shuffled
+    batch of all of them gives the same answers."""
     alone = [scissors._float_lps([p], m)[0] for p in problems]
     assert alone == [_dense_tableau(w, s, m) for w, s in problems]
     order = list(range(len(problems)))
     random.Random(7).shuffle(order)
     together = scissors._float_lps([problems[i] for i in order], m)
     assert together == [alone[i] for i in order]
+
+
+def test_batched_lps_match_solving_each_alone(monkeypatch):
+    # the fifth and sixth moves bring ties for the entering column
+    _, batches = _recorded_lps(monkeypatch, k4(), _first_moves(k4(), t4(), 6))
+    problems = [p for batch in batches for p in batch]
+    assert len({len(w) + len(s) for w, s in problems}) > 1  # a ragged batch
+    _assert_alone_and_together(problems, len(k4().edges))
+
+
+def test_widest_lp_batch_matches_solving_each_alone(monkeypatch):
+    # the batch with the most rows among the first ten moves, wider than any
+    # of the first six moves' batches (at most 24 rows)
+    _, batches = _recorded_lps(monkeypatch, k4(), _first_moves(k4(), t4(), 10))
+    widest = max(batches, key=lambda batch: max(map(_rows, batch)))
+    assert max(map(_rows, widest)) == 32
+    assert len(set(map(_rows, widest))) > 1  # a ragged batch
+    _assert_alone_and_together(widest, len(k4().edges))
 
 
 @pytest.mark.parametrize("source, target, moves", [(theta, dumbbell, 1), (k4, t4, 3)])
