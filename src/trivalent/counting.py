@@ -14,10 +14,22 @@ Three independent routes:
 The tensor routes evaluate the rows of polytope.KINDS on one vertex's slot
 values.  Rational dilation parameters are handled exactly by clearing
 denominators; all comparisons happen in integers.
+
+Work that does not depend on the count is done once.  A graph's elimination
+plan (vertex order, one einsum script per vertex, paired axes per step)
+depends only on the graph, so _plan is cached per exact Graph.  The vals^3
+slot indicator depends only on the dilation, kind and strictness, so every
+graph shares one read-only bool tensor per (lo, hi, p, q, kind, strict);
+each call casts it to the dtype it needs.  That cache holds up to
+_INDICATOR_CACHE_SIZE tensors of at most _INDICATOR_CACHE_MAX bytes each
+(at most 8 MiB, and far less in practice: a full quasi-polynomial sweep of a
+9-edge graph holds about 0.7 MB); larger tensors are built per call, so a big
+t never pins memory.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -113,23 +125,54 @@ def iter_lattice_points(sys: InequalitySystem, t) -> Iterator[tuple[int, ...]]:
 # -- local indicator ----------------------------------------------------------
 
 
+# Bounds of the indicator cache.  One sweep of a census graph (its
+# quasi-polynomial, h*, reflexivity and semi-reflexive counts) and the prism's
+# quasi-polynomial each visit fewer than 64 distinct dilations, and
+# quasi_polynomial visits them in a cycle, so the cache must hold a whole
+# sweep or it misses on every call.  Tensors above _INDICATOR_CACHE_MAX bytes
+# (len(vals) > 40: membership t >= 40, reflexive t >= 20) are not cached.
+_INDICATOR_CACHE_SIZE = 128
+_INDICATOR_CACHE_MAX = 2**16
+
+
 def _slot_indicator(
     vals: np.ndarray, p: int, q: int, kind: str, strict: bool, dtype
 ) -> np.ndarray:
     """0/1 tensor over vals^3: the rows of KINDS[kind] for one vertex, on its
-    three slot values, at the dilation p/q.
+    three slot values, at the dilation p/q.  vals is the range lo..hi.
 
     A vertex whose slots repeat an edge (a loop) takes the diagonal of this
-    tensor, so one tensor serves every degree-3 vertex of a graph.
+    tensor, so one tensor serves every degree-3 vertex of a graph.  Each call
+    returns a fresh array of the given dtype.
     """
+    key = (int(vals[0]), int(vals[-1]), p, q, kind, strict)
+    if len(vals) ** 3 > _INDICATOR_CACHE_MAX:
+        return _bool_indicator(*key).astype(dtype)
+    return _shared_indicator(*key).astype(dtype)
+
+
+def _bool_indicator(
+    lo: int, hi: int, p: int, q: int, kind: str, strict: bool
+) -> np.ndarray:
     bounds, _ = KINDS[kind]
+    vals = np.arange(lo, hi + 1, dtype=np.int64)
     slots = (q * vals[:, None, None], q * vals[None, :, None], q * vals[None, None, :])
     ind = np.ones((len(vals),) * 3, dtype=bool)
     for pattern, (alpha, beta) in zip(SIGN_PATTERNS, bounds):
         row = sum(sign * x for sign, x in zip(pattern, slots))
         bound = alpha * p + beta * q
         ind &= (row < bound) if strict else (row <= bound)
-    return ind.astype(dtype)
+    return ind
+
+
+@lru_cache(maxsize=_INDICATOR_CACHE_SIZE)
+def _shared_indicator(
+    lo: int, hi: int, p: int, q: int, kind: str, strict: bool
+) -> np.ndarray:
+    """_bool_indicator, cached and read-only: every caller shares it."""
+    ind = _bool_indicator(lo, hi, p, q, kind, strict)
+    ind.flags.writeable = False
+    return ind
 
 
 # -- tree dynamic programming -------------------------------------------------
@@ -213,6 +256,79 @@ def _contract(
     return out
 
 
+# Bound of the plan cache, as nni's canonical-form cache: the counts of one
+# graph (a quasi-polynomial's dilations, then h*, reflexivity and
+# semi-reflexive checks) come together, so a small cache catches them.
+_PLAN_CACHE_SIZE = 64
+
+# One elimination step: the einsum script that takes a vertex's tensor from
+# the slot indicator, and the (frontier axes, tensor axes) it pairs.
+_Step = tuple[str, tuple[tuple[int, ...], tuple[int, ...]]]
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(g: Graph) -> tuple[_Step, ...]:
+    """The elimination steps of g: one per degree-3 vertex, in greedy order.
+
+    The next vertex is the one that leaves the fewest open edges on the
+    frontier, ties broken by vertex id.  An edge stays open until every
+    degree-3 endpoint has been processed; edges whose only degree-3 endpoint
+    is the vertex itself (pendants, loops) are summed out in its script.
+    """
+    owners: dict[int, set[int]] = {}
+    for e, u, w in g.edge_list:
+        owners[e] = {x for x in (u, w) if g.degrees[x] == 3}
+
+    def open_axes(v: int) -> list[int]:
+        return [e for e in g.incident_edges(v) if owners[e] != {v}]
+
+    def vertex_script(v: int) -> str:
+        # slot letters repeat for a loop (diagonal)
+        slots = g.slots(v)
+        letter = {e: "abc"[i] for i, e in enumerate(dict.fromkeys(slots))}
+        return (
+            "".join(letter[e] for e in slots)
+            + "->"
+            + "".join(letter[e] for e in open_axes(v))
+        )
+
+    remaining = [v for v in sorted(g.vertex_ids) if g.degrees[v] == 3]
+    frontier_axes: list[int] = []
+    processed: set[int] = set()
+
+    def frontier_growth(v: int) -> int:
+        new = set(frontier_axes) | set(open_axes(v))
+        return sum(1 for e in new if not owners[e] <= processed | {v})
+
+    steps: list[_Step] = []
+    while remaining:
+        best = min(remaining, key=lambda v: (frontier_growth(v), v))
+        remaining.remove(best)
+        axes = open_axes(best)
+        processed.add(best)
+        # an edge on both sides has both endpoints processed now: it closes
+        shared = (
+            tuple(k for k, e in enumerate(frontier_axes) if e in axes),
+            tuple(axes.index(e) for e in frontier_axes if e in axes),
+        )
+        steps.append((vertex_script(best), shared))
+        frontier_axes = [e for e in frontier_axes if e not in axes] + [
+            e for e in axes if e not in frontier_axes
+        ]
+
+    if frontier_axes:
+        raise AssertionError("unclosed axes after processing all vertices")
+    return tuple(steps)
+
+
+def _eliminate(g: Graph, ind: np.ndarray) -> int:
+    """Contract g's network, one copy of ind per degree-3 vertex, by its plan."""
+    frontier = np.ones((), dtype=ind.dtype)
+    for script, shared in _plan(g):
+        frontier = _contract(frontier, np.einsum(script, ind), shared)
+    return int(frontier)
+
+
 def count_elimination(
     g: Graph, t, kind: str = "membership", strict: bool = False
 ) -> int:
@@ -236,62 +352,11 @@ def count_elimination(
         raise GraphError(f"unknown system kind {kind!r}")
     p, q, lo, hi = _dilation(t, KINDS[kind][1])
     vals = np.arange(lo, hi + 1, dtype=np.int64)
-    m = len(g.edges)
-    bound = len(vals) ** m
+    bound = len(vals) ** len(g.edges)
     if bound >= _INT64_LIMIT:
         raise GraphError("count too large for int64 contraction")
     dtype = np.float64 if bound < 2**53 else np.int64
-    ind = _slot_indicator(vals, p, q, kind, strict, dtype)
-
-    internal_vertices = [v for v in sorted(g.vertex_ids) if g.degrees[v] == 3]
-    # an edge stays "open" until every degree-3 endpoint has been processed
-    owners: dict[int, set[int]] = {}
-    for e, u, w in g.edge_list:
-        owners[e] = {x for x in (u, w) if g.degrees[x] == 3}
-
-    def open_axes(v: int) -> list[int]:
-        return [e for e in g.incident_edges(v) if owners[e] != {v}]
-
-    def vertex_tensor(v: int) -> tuple[list[int], np.ndarray]:
-        # slot letters repeat for a loop (diagonal); edges whose only
-        # degree-3 endpoint is v (pendants, loops) are summed out
-        slots = g.slots(v)
-        letter = {e: "abc"[i] for i, e in enumerate(dict.fromkeys(slots))}
-        axes = open_axes(v)
-        script = (
-            "".join(letter[e] for e in slots)
-            + "->"
-            + "".join(letter[e] for e in axes)
-        )
-        return axes, np.einsum(script, ind)
-
-    remaining = list(internal_vertices)
-    frontier_axes: list[int] = []
-    frontier = np.ones((), dtype=dtype)
-    processed: set[int] = set()
-
-    def frontier_growth(v: int) -> int:
-        new = set(frontier_axes) | set(open_axes(v))
-        return sum(1 for e in new if not owners[e] <= processed | {v})
-
-    while remaining:
-        best = min(remaining, key=lambda v: (frontier_growth(v), v))
-        remaining.remove(best)
-        axes, tensor = vertex_tensor(best)
-        processed.add(best)
-        # an edge on both sides has both endpoints processed now: it closes
-        shared = (
-            [k for k, e in enumerate(frontier_axes) if e in axes],
-            [axes.index(e) for e in frontier_axes if e in axes],
-        )
-        frontier = _contract(frontier, tensor, shared)
-        frontier_axes = [e for e in frontier_axes if e not in axes] + [
-            e for e in axes if e not in frontier_axes
-        ]
-
-    if frontier_axes:
-        raise AssertionError("unclosed axes after processing all vertices")
-    return int(frontier)
+    return _eliminate(g, _slot_indicator(vals, p, q, kind, strict, dtype))
 
 
 def count_points(g: Graph, t, method: str = "auto") -> int:

@@ -104,18 +104,21 @@ def hstar_consistent_with_volume(g: Graph, vector: HStarVector, leading: Fractio
 def vertex_enumeration(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
     """All vertices of Q, by brute-force facet subsystem solving.
 
-    Each m-subset of the facet rows is solved exactly by
+    Each m-subset of the distinct facet rows is solved exactly by
     `exactlin.solve_square`; a solution x = num / den (den the lcm of its
     denominators, num an integer vector) is a vertex when row . num <= den
-    for every row, a test in integers only.  Guarded to at most 7 edges: the
-    subset count C(4k, m) explodes beyond that, and the acceptance workloads
-    never need more.
+    for every row, a test in integers only.  Repeated rows (from a loop or
+    a parallel pair at one vertex, or two vertices with the same slots) are
+    dropped first: every right-hand side is 1, so a repeat adds no
+    constraint, and a subset that holds one is singular.  Guarded to at most
+    7 edges: the subset count C(4k, m) explodes beyond that, and the
+    acceptance workloads never need more.
     """
     system = reflexive_system(g)
     m = len(system.edge_order)
     if m > 7:
         raise GraphError(f"vertex enumeration supports at most 7 edges, got {m}")
-    rows = [row[0] for row in system.rows]
+    rows = list(dict.fromkeys(row[0] for row in system.rows))
     vertices: set[tuple[Fraction, ...]] = set()
     for subset in combinations(rows, m):
         point = exactlin.solve_square(subset, [1] * m)

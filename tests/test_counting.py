@@ -1,4 +1,5 @@
 """Cross-checks between the three lattice-point counting routes."""
+import string
 from fractions import Fraction
 from itertools import product
 
@@ -18,7 +19,13 @@ from trivalent.catalog import (
     tree_two_internal,
 )
 from trivalent.counting import (
+    _INDICATOR_CACHE_MAX,
     _contract,
+    _dilation,
+    _eliminate,
+    _plan,
+    _shared_indicator,
+    _slot_indicator,
     count_backtracking,
     count_elimination,
     count_points,
@@ -27,7 +34,7 @@ from trivalent.counting import (
 )
 from trivalent.ehrhart import verlinde_count
 from trivalent.graphs import make_graph
-from trivalent.polytope import inequality_system, reflexive_system
+from trivalent.polytope import KINDS, SIGN_PATTERNS, inequality_system, reflexive_system
 
 
 def prism():
@@ -197,3 +204,105 @@ def test_contract_matches_einsum(f_shape, t_ndim, pairs):
     got = _contract(frontier, tensor, shared)
     assert got.shape == expect.shape
     assert np.array_equal(got, expect)
+
+
+CENSUS = [g for _, group in sorted(connected_13_classes(7).items()) for g in group]
+
+NETWORKS = {
+    "k4": k4(), "prism": prism(), "k33": k33(), "theta": theta(),
+    "dumbbell": dumbbell(), "lollipop": lollipop(),
+    **{f"census{i}": g for i, g in enumerate(CENSUS)},
+}
+
+
+# A random tensor that is not symmetric in its three slots sees the wiring:
+# pairing the wrong axes, or reading a loop's diagonal off the wrong slots,
+# changes the value, where a count of another graph of the class would not.
+@pytest.mark.parametrize("g", NETWORKS.values(), ids=NETWORKS.keys())
+def test_eliminate_matches_one_einsum(g):
+    rng = np.random.default_rng(len(g.edges) * 100 + len(g.vertex_ids))
+    ind = rng.integers(0, 5, size=(3, 3, 3), dtype=np.int64)
+    assert not np.array_equal(ind, ind.transpose(1, 0, 2))
+    letter = dict(zip(g.edges, string.ascii_letters))
+    cubic = [v for v in sorted(g.vertex_ids) if g.degrees[v] == 3]
+    subscripts = ",".join("".join(letter[e] for e in g.slots(v)) for v in cubic)
+    expect = np.einsum(subscripts + "->", *[ind] * len(cubic), optimize=True)
+    assert _eliminate(g, ind) == int(expect)
+
+
+def _widest_frontier(plan):
+    rank = widest = 0
+    for script, (f_shared, t_shared) in plan:
+        rank += len(script.split("->")[1]) - len(f_shared) - len(t_shared)
+        widest = max(widest, rank)
+    return widest
+
+
+def test_plan_widest_frontier():
+    # pins the greedy order: (frontier growth, vertex id)
+    assert _widest_frontier(_plan(k4())) == 4
+    assert _widest_frontier(_plan(prism())) == 4
+    assert _widest_frontier(_plan(k33())) == 5
+
+
+def test_plan_cache_hits_on_equal_graph():
+    a, b = k33(), k33()
+    assert a is not b and a == b
+    first = _plan(a)
+    hits = _plan.cache_info().hits
+    assert _plan(b) is first
+    assert _plan.cache_info().hits == hits + 1
+
+
+def test_cold_plan_equals_cached():
+    assert len(CENSUS) == 28
+    cached = [_plan(g) for g in CENSUS]
+    _plan.cache_clear()
+    assert [_plan(g) for g in CENSUS] == cached
+    assert _plan.cache_info().misses == len(CENSUS)
+
+
+def _reference_indicator(t, kind, strict):
+    """Each slot triple tested row by row, in integers."""
+    p, q, lo, hi = _dilation(t, KINDS[kind][1])
+    n = hi - lo + 1
+    out = np.zeros((n, n, n), dtype=bool)
+    for a, b, c in product(range(lo, hi + 1), repeat=3):
+        ok = True
+        for pattern, (alpha, beta) in zip(SIGN_PATTERNS, KINDS[kind][0]):
+            lhs = q * sum(s * x for s, x in zip(pattern, (a, b, c)))
+            bound = alpha * p + beta * q
+            ok = ok and (lhs < bound if strict else lhs <= bound)
+        out[a - lo, b - lo, c - lo] = ok
+    return out
+
+
+@pytest.mark.parametrize("t", [0, 3, Fraction(7, 2), Fraction(10, 3)], ids=str)
+@pytest.mark.parametrize("kind", ["membership", "reflexive"])
+@pytest.mark.parametrize("strict", [False, True], ids=["closed", "strict"])
+def test_slot_indicator_matches_reference(t, kind, strict):
+    p, q, lo, hi = _dilation(t, KINDS[kind][1])
+    vals = np.arange(lo, hi + 1, dtype=np.int64)
+    expect = _reference_indicator(t, kind, strict)
+    _shared_indicator.cache_clear()
+    for _ in range(2):  # cold, then from the cache
+        ind = _slot_indicator(vals, p, q, kind, strict, np.float64)
+        assert ind.dtype == np.float64
+        assert np.array_equal(ind, expect)
+        ind[...] = 7  # each call gets its own copy
+
+
+def test_shared_indicator_is_read_only():
+    ind = _shared_indicator(0, 3, 3, 1, "membership", False)
+    with pytest.raises(ValueError):
+        ind[0, 0, 0] = False
+
+
+def test_large_indicator_is_not_cached():
+    t = 45
+    assert (t + 1) ** 3 > _INDICATOR_CACHE_MAX
+    before = _shared_indicator.cache_info()
+    vals = np.arange(0, t + 1, dtype=np.int64)
+    ind = _slot_indicator(vals, t, 1, "membership", False, np.int64)
+    assert ind.shape == (t + 1,) * 3
+    assert _shared_indicator.cache_info() == before

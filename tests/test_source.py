@@ -47,6 +47,83 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def unbounded_caches(source: str) -> list[str]:
+    """functools.cache, and every lru_cache whose maxsize is not an int literal
+    or a module-level name bound to one, by line."""
+    tree = ast.parse(source)
+    ints = {
+        t.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Constant)
+        and type(node.value.value) is int
+        for t in node.targets
+        if isinstance(t, ast.Name)
+    }
+
+    def is_lru(node) -> bool:
+        return (isinstance(node, ast.Name) and node.id == "lru_cache") or (
+            isinstance(node, ast.Attribute) and node.attr == "lru_cache"
+        )
+
+    def bounded(call: ast.Call) -> bool:
+        size = call.args[0] if call.args else next(
+            (k.value for k in call.keywords if k.arg == "maxsize"), None
+        )
+        if isinstance(size, ast.Name):
+            return size.id in ints
+        return isinstance(size, ast.Constant) and type(size.value) is int
+
+    called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, "cache") for a in node.names if a.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                found.append((node.lineno, "cache"))
+        elif isinstance(node, ast.Call) and is_lru(node.func) and not bounded(node):
+            found.append((node.lineno, "lru_cache"))
+        elif is_lru(node) and id(node) not in called:  # bare @lru_cache
+            found.append((node.lineno, "lru_cache"))
+    return [f"{what} at line {line}" for line, what in sorted(found)]
+
+
+def test_unbounded_caches_detector():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "SIZE = 8\n"
+        "HALF = SIZE // 2\n"
+        "@lru_cache(maxsize=SIZE)\n"
+        "def a(x): return x\n"
+        "@functools.lru_cache(16)\n"
+        "def b(x): return x\n"
+        "@lru_cache\n"
+        "def c(x): return x\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def d(x): return x\n"
+        "@lru_cache(maxsize=HALF)\n"
+        "def e(x): return x\n"
+        "@functools.cache\n"
+        "def f(x): return x\n"
+        "g = lru_cache()(a)\n"
+    )
+    assert unbounded_caches(source) == [
+        "cache at line 2",
+        "lru_cache at line 9",
+        "lru_cache at line 11",
+        "lru_cache at line 13",
+        "cache at line 15",
+        "lru_cache at line 17",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unbounded_caches(path):
+    assert unbounded_caches(path.read_text()) == []
+
+
 def _bench_names(name: str):
     """A constant assigned in perfbench/layers.py, read from its syntax tree."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
