@@ -40,7 +40,7 @@ if __name__ == "__main__":
     describe(seq)
     print()
 
-    print("K4 to T4 (cycle rank 2, two cut/glue recursions):")
+    print("K4 to T4 (cycle rank 2, two cut recursions):")
     seq = graph_sequence(k4(), t4())
     describe(seq)
     image = replay(k4(), seq.moves).rename_edges(seq.relabel_map)

@@ -138,25 +138,6 @@ def _canonical_core(k: int, mult: dict[tuple[int, int], int]) -> tuple:
     return best
 
 
-def _core_connected(k: int, mult: dict[tuple[int, int], int]) -> bool:
-    if k == 1:
-        return True
-    adj = {i: set() for i in range(1, k + 1)}
-    for (u, v), c in mult.items():
-        if c and u != v:
-            adj[u].add(v)
-            adj[v].add(u)
-    seen = {1}
-    stack = [1]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == k
-
-
 def _labeled_from_core(k: int, core_edges: tuple[tuple[int, int], ...]) -> Graph:
     """Canonical labeling: core edges first (sorted), then pendants by vertex."""
     deg = {i: 0 for i in range(1, k + 1)}
@@ -201,16 +182,16 @@ def connected_13_classes(max_edges: int) -> dict[tuple[int, int], list[Graph]]:
             m = 3 * k - c_edges
             if m > max_edges:
                 continue
-            if not _core_connected(k, mult):
+            bag: list[tuple[int, int]] = []
+            for (u, v), cnt in mult.items():
+                bag.extend([(u, v)] * cnt)
+            g = _labeled_from_core(k, tuple(bag))
+            if not g.is_connected():
                 continue
             key = (k, _canonical_core(k, mult))
             if key in seen:
                 continue
             seen.add(key)
-            bag: list[tuple[int, int]] = []
-            for (u, v), cnt in mult.items():
-                bag.extend([(u, v)] * cnt)
-            g = _labeled_from_core(k, tuple(bag))
             validate_13(g)
             n = len(g.vertex_ids)
             out.setdefault((n, m), []).append(g)

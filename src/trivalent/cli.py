@@ -181,13 +181,18 @@ def cmd_nni_replay(args) -> int:
 
 
 def parse_weights(g: Graph, text: str) -> dict[int, Fraction]:
-    if "=" in text:
-        pairs = {}
-        for item in text.split(","):
-            key, _, val = item.partition("=")
-            pairs[int(key)] = Fraction(val)
-        return as_weighting(g, pairs)
-    return as_weighting(g, [Fraction(x) for x in text.split(",")])
+    """Weights written as 'id=p/q,...' pairs or one p/q per edge in id order."""
+    try:
+        if "=" in text:
+            values = {}
+            for item in text.split(","):
+                key, _, val = item.partition("=")
+                values[int(key)] = Fraction(val)
+        else:
+            values = [Fraction(x) for x in text.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"--weights {text!r} is not a list of rational numbers p/q") from exc
+    return as_weighting(g, values)
 
 
 def cmd_wnni_apply(args) -> int:
@@ -544,6 +549,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # the same code as a count past the int64 ceiling: the input is valid
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         # GraphError subclasses ValueError: failed mathematical precondition
         if isinstance(exc, GraphError):

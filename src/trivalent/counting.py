@@ -189,9 +189,9 @@ def count_tree_dp(g: Graph, t) -> int:
     if not g.is_tree():
         raise GraphError("count_tree_dp expects a tree")
     p, q, lo, hi = _dilation(t, KINDS["membership"][1])
-    vals = np.arange(lo, hi + 1, dtype=np.int64)
-    if len(vals) ** len(g.edges) >= _INT64_LIMIT:
+    if (hi - lo + 1) ** len(g.edges) >= _INT64_LIMIT:
         raise GraphError("count too large for int64 message passing")
+    vals = np.arange(lo, hi + 1, dtype=np.int64)
     ind = _slot_indicator(vals, p, q, "membership", False, np.int64)
     internal = [v for v in sorted(g.vertex_ids) if g.degrees[v] == 3]
     root = internal[0]
@@ -351,11 +351,11 @@ def count_elimination(
     if kind not in KINDS:
         raise GraphError(f"unknown system kind {kind!r}")
     p, q, lo, hi = _dilation(t, KINDS[kind][1])
-    vals = np.arange(lo, hi + 1, dtype=np.int64)
-    bound = len(vals) ** len(g.edges)
+    bound = (hi - lo + 1) ** len(g.edges)
     if bound >= _INT64_LIMIT:
         raise GraphError("count too large for int64 contraction")
     dtype = np.float64 if bound < 2**53 else np.int64
+    vals = np.arange(lo, hi + 1, dtype=np.int64)
     return _eliminate(g, _slot_indicator(vals, p, q, kind, strict, dtype))
 
 

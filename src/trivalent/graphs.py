@@ -344,22 +344,14 @@ def find_cycle_edge(g: Graph, forbidden: frozenset[int] = frozenset()) -> int:
     raise GraphError("no cycle edge available outside the forbidden set")
 
 
-@dataclass(frozen=True)
-class CutRecord:
-    """Bookkeeping for cut_edge, enough to invert it with glue_edges."""
-
-    edge: int
-    fresh_edges: tuple[int, int]
-    fresh_leaves: tuple[int, int]
-
-
-def cut_edge(g: Graph, e: int) -> tuple[Graph, CutRecord]:
+def cut_edge(g: Graph, e: int) -> tuple[Graph, tuple[int, int]]:
     """Sever cycle edge e into two pendant stubs.
 
     Edge e = {u, v} is removed and replaced by fresh external edges
     M+1 = (u, new leaf) and M+2 = (v, new leaf), where M is the current
     maximum edge id.  For a loop both stubs attach to the loop vertex.
-    Degrees are preserved at u and v; the cycle rank drops by one.
+    Degrees are preserved at u and v; the cycle rank drops by one.  Returns
+    the cut graph and the stub ids (M+1, M+2).
     """
     if not on_cycle(g, e):
         raise GraphError(f"edge {e} is not on a cycle; cutting would disconnect")
@@ -372,21 +364,4 @@ def cut_edge(g: Graph, e: int) -> tuple[Graph, CutRecord]:
     edges.append((e1, u, l1))
     edges.append((e2, v, l2))
     h = make_graph(edges, vertices=g.vertex_ids | {l1, l2})
-    return h, CutRecord(edge=e, fresh_edges=(e1, e2), fresh_leaves=(l1, l2))
-
-
-def glue_edges(g: Graph, record: CutRecord, restore_id: int | None = None) -> Graph:
-    """Invert cut_edge: fuse the two stubs back into one edge.
-
-    The restored edge joins the current non-leaf endpoints of the stubs (which
-    may have moved since the cut).  ``restore_id`` defaults to the original
-    edge id.
-    """
-    e1, e2 = record.fresh_edges
-    l1, l2 = record.fresh_leaves
-    a = g.other_end(e1, l1)
-    b = g.other_end(e2, l2)
-    eid = record.edge if restore_id is None else restore_id
-    edges = [(x, p, q) for x, p, q in g.edge_list if x not in (e1, e2)]
-    edges.append((eid, a, b))
-    return make_graph(edges, vertices=g.vertex_ids - {l1, l2})
+    return h, (e1, e2)

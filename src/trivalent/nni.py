@@ -6,11 +6,10 @@ are pairwise distinct.  Applying the move detaches a's u-slot and reattaches it
 at v, and symmetrically moves b's v-slot to u.  Degrees, the edge-label set,
 and the external/internal split are all preserved.
 
-The constructive results: any two trees with equal degree sequences, equal
-edge-label sets and equal external labels are connected by such moves
-(tree_sequence), and the same holds for connected graphs with all degrees in
-{1, 3} once cut edges are matched up by an explicit relabeling bijection
-(graph_sequence).
+The constructive results: any two {1,3}-trees with equal edge-label sets and
+equal external labels are connected by such moves (tree_sequence), and the
+same holds for connected {1,3}-graphs with equal degree data once cut edges
+are matched up by an explicit relabeling bijection (graph_sequence).
 """
 from __future__ import annotations
 
@@ -233,11 +232,7 @@ def is_caterpillar(t: Graph) -> bool:
 
 
 def _spine(c: _Tree) -> list[int]:
-    """Non-leaf vertices of a caterpillar in canonical reading direction.
-
-    Direction with the lexicographically larger degree tuple wins; full ties
-    (palindromic degrees) are broken toward the lower end-vertex id.
-    """
+    """Non-leaf vertices of a caterpillar, read from the lower-id end vertex."""
     nonleaf = set(_nonleaf_vertices(c))
     if len(nonleaf) <= 1:
         return sorted(nonleaf)
@@ -246,22 +241,16 @@ def _spine(c: _Tree) -> list[int]:
         for v in nonleaf
         if sum(1 for _, w in c.adjacency[v] if w in nonleaf) == 1
     ]
-    start = min(ends)
-    seq = [start]
+    seq = [min(ends)]
     prev = None
     while True:
         nxt = [
             w for _, w in c.adjacency[seq[-1]] if w in nonleaf and w != prev
         ]
         if not nxt:
-            break
+            return seq
         prev = seq[-1]
         seq.append(nxt[0])
-    forward = [c.degrees[v] for v in seq]
-    backward = forward[::-1]
-    if backward > forward or (backward == forward and seq[-1] < seq[0]):
-        seq = seq[::-1]
-    return seq
 
 
 def _edge_between(g: _Tree, x: int, y: int) -> int:
@@ -272,13 +261,8 @@ def _edge_between(g: _Tree, x: int, y: int) -> int:
 
 
 def _lowest_leaf_edge(g: _Tree, v: int) -> int:
-    cands = [e for e, w in g.adjacency[v] if g.degrees[w] == 1]
-    if not cands:
-        raise GraphError(
-            f"vertex {v} carries no pendant leaf; the rearrangement needs one "
-            "(guaranteed when all degrees are 1 or 3)"
-        )
-    return min(cands)
+    # every spine vertex of a {1,3}-caterpillar carries a pendant leaf
+    return min(e for e, w in g.adjacency[v] if g.degrees[w] == 1)
 
 
 def _bfs_farthest(g: _Tree, src: int) -> tuple[int, dict[int, tuple[int, int]]]:
@@ -328,40 +312,6 @@ def _caterpillarize(g: _Tree) -> list[Trail]:
         trail = Trail(a, u, eid, v, b)
         g.move(trail)
         moves.append(trail)
-    return moves
-
-
-def _order_spine(g: _Tree) -> list[Trail]:
-    moves: list[Trail] = []
-    sp = _spine(g)
-    if len(sp) <= 2:
-        # the canonical reading direction already makes <=2 degrees nonincreasing
-        return moves
-    degs = [g.degrees[v] for v in sp]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(sp) - 1):
-            if degs[i] >= degs[i + 1]:
-                continue
-            u, v = sp[i], sp[i + 1]
-            e = _edge_between(g, u, v)
-            a = (
-                _edge_between(g, sp[i - 1], u)
-                if i > 0
-                else _lowest_leaf_edge(g, u)
-            )
-            b = (
-                _edge_between(g, v, sp[i + 2])
-                if i + 2 < len(sp)
-                else _lowest_leaf_edge(g, v)
-            )
-            trail = Trail(a, u, e, v, b)
-            g.move(trail)
-            moves.append(trail)
-            sp[i], sp[i + 1] = v, u
-            degs[i], degs[i + 1] = degs[i + 1], degs[i]
-            changed = True
     return moves
 
 
@@ -440,12 +390,13 @@ _CANONICAL_CACHE_SIZE = 64
 
 
 def canonical_caterpillar_sequence(t: Graph) -> tuple[list[Trail], Graph]:
-    """Normalize a tree to the canonical labeled caterpillar of its class.
+    """Normalize a {1,3}-tree to the canonical labeled caterpillar of its class.
 
-    The class is determined by (degree sequence, internal edge ids, external
-    edge ids); the canonical form has nonincreasing spine degrees, internal
-    ids ascending along the spine and external ids ascending left-to-right.
-    Results are cached per exact Graph; each call returns a fresh move list.
+    The class is determined by (internal edge ids, external edge ids); the
+    canonical form has internal ids ascending along the spine, read from its
+    lower-id end vertex, and external ids ascending left-to-right.  Raises
+    GraphError unless t is a tree with all degrees in {1, 3}.  Results are
+    cached per exact Graph; each call returns a fresh move list.
     """
     moves, c = _canonical(t)
     return list(moves), c
@@ -454,10 +405,10 @@ def canonical_caterpillar_sequence(t: Graph) -> tuple[list[Trail], Graph]:
 @lru_cache(maxsize=_CANONICAL_CACHE_SIZE)
 def _canonical(t: Graph) -> tuple[tuple[Trail, ...], Graph]:
     if not t.is_tree():
-        raise GraphError("spine is only defined for caterpillars")
+        raise GraphError("canonical caterpillars are only defined for trees")
+    validate_13(t)
     g = _Tree(t)
     moves = _caterpillarize(g)
-    moves += _order_spine(g)
     moves += _sort_internal(g)
     moves += _sort_external(g)
     return tuple(moves), _graph(g.vertex_ids, g.ends)
@@ -498,10 +449,10 @@ def _check_common_labels(a: Graph, b: Graph) -> None:
 def tree_sequence(t1: Graph, t2: Graph) -> MoveSequence:
     """Moves carrying t1 to t2 exactly (same labels; vertices up to bijection).
 
-    Both trees must have equal degree sequences, equal edge-label sets and
-    equal external labels.  Each is normalized to the common canonical
-    caterpillar; the second normalization is reversed, translated through the
-    canonical forms' vertex bijection, and appended.
+    Both must be {1,3}-trees with equal edge-label sets and equal external
+    labels.  Each is normalized to the common canonical caterpillar; the
+    second normalization is reversed, translated through the canonical forms'
+    vertex bijection, and appended.
     """
     if not t1.is_tree() or not t2.is_tree():
         raise GraphError("tree_sequence expects two trees")
@@ -557,11 +508,11 @@ def _graph_seq(
         return list(tree_sequence(a, b).moves), {}
     ea = find_cycle_edge(a, fa)
     eb = find_cycle_edge(b, fb)
-    ha, rec_a = cut_edge(a, ea)
-    hb, rec_b = cut_edge(b, eb)
-    if rec_a.fresh_edges != rec_b.fresh_edges:
+    ha, stubs = cut_edge(a, ea)
+    hb, stubs_b = cut_edge(b, eb)
+    if stubs != stubs_b:
         raise GraphError("edge label sets diverged during cutting")
-    fresh = set(rec_a.fresh_edges)
+    fresh = set(stubs)
     if ea != eb:
         # align labels: call b's cut edge by a's label in the recursion
         hb = hb.rename_edges({ea: eb})
@@ -574,8 +525,8 @@ def _graph_seq(
         aa = ea if t.a in fresh else t.a
         bb = ea if t.b in fresh else t.b
         if aa == bb:
-            # both extremes are the two stubs of the same glued edge: the
-            # projected move only shuffles that edge's own ends -> identity
+            # both extremes are the two stubs of the cut edge: the projected
+            # move only shuffles that edge's own ends -> identity
             continue
         moves.append(Trail(aa, t.u, t.e, t.v, bb))
     swap = {ea: eb, eb: ea}

@@ -107,6 +107,12 @@ def test_bad_weights_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("weights", ["1/0,0,1", "1=1/0,2=0,3=1"])
+def test_zero_denominator_weights_are_usage_errors(capsys, weights):
+    assert main(["wnni", "apply", "theta", "--weights", weights, "--trail", "1,1,3,2,2"]) == 2
+    assert capsys.readouterr().err.startswith("error: --weights ")
+
+
 def test_ehrhart_count(capsys):
     payload = run_json(capsys, "ehrhart", "count", "theta", "-t", "4")
     assert payload["count"] == 11
@@ -208,15 +214,29 @@ def test_t_max_exit_codes(capsys, command, t_max, code):
         assert json.loads(captured.out)["ok"] is True
 
 
-def test_python_dash_m_runs_the_cli():
+def run_module(*argv):
+    """Run `python -m trivalent` with this checkout's package on the path."""
     src = str(Path(trivalent.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run(
-        [sys.executable, "-m", "trivalent", "graph", "info", "theta"],
+    return subprocess.run(
+        [sys.executable, "-m", "trivalent", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    result = run_module("graph", "info", "theta")
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["cycle_rank"] == 2
+
+
+def test_out_of_memory_is_an_error_line():
+    # t = 10**6 passes the int64 bound for the claw's three edges, but its
+    # indicator tensor would take 888 PiB, which numpy refuses at once
+    result = run_module("ehrhart", "count", "claw", "-t", "1000000")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
 
 
 def test_reflexive_check(capsys):

@@ -33,7 +33,7 @@ from trivalent.counting import (
     iter_lattice_points,
 )
 from trivalent.ehrhart import verlinde_count
-from trivalent.graphs import make_graph
+from trivalent.graphs import GraphError, make_graph
 from trivalent.polytope import KINDS, SIGN_PATTERNS, inequality_system, reflexive_system
 
 
@@ -164,6 +164,14 @@ def test_elimination_at_the_float64_boundary(t):
     # 58**9 < 2**53 <= 60**9: t = 57 contracts in float64, t = 59 in int64
     assert (58**9 < 2**53) and (60**9 >= 2**53)
     assert count_elimination(prism(), t) == verlinde_count(6, t)
+
+
+@pytest.mark.parametrize("count", [count_elimination, count_tree_dp])
+def test_huge_dilation_is_refused_before_allocating(count):
+    # (10**15 + 1)**3 is past the int64 ceiling; a value range of that length
+    # would need 8 PB, so the bound must be checked on the length alone
+    with pytest.raises(GraphError, match="count too large"):
+        count(claw(), 10**15)
 
 
 @pytest.mark.parametrize("tree", [tree_caterpillar_four(), tree_spider_four()],

@@ -1,15 +1,13 @@
-"""Multigraph container, text format, and cut/glue surgery."""
+"""Multigraph container, text format, and cycle-edge cutting."""
 import pytest
 
 from trivalent.graphs import (
-    CutRecord,
     GraphError,
     classify_edges,
     cut_edge,
     degree_sequence,
     find_cycle_edge,
     format_graph,
-    glue_edges,
     make_graph,
     on_cycle,
     parse_graph,
@@ -108,23 +106,25 @@ def test_on_cycle_and_find_cycle_edge():
         find_cycle_edge(claw())
 
 
-def test_cut_restores_degrees_and_glue_inverts():
+def test_cut_restores_degrees_and_adds_stubs():
     g = theta()
-    h, rec = cut_edge(g, 2)
+    h, stubs = cut_edge(g, 2)
     validate_13(h)
-    assert isinstance(rec, CutRecord) and rec.edge == 2
+    assert stubs == (4, 5)
+    # edge 2 = (1, 2) becomes stubs 4 = (1, leaf 3) and 5 = (2, leaf 4)
+    assert h.edge_list == ((1, 1, 2), (3, 1, 2), (4, 1, 3), (5, 2, 4))
+    assert h.vertex_ids == frozenset({1, 2, 3, 4})
     assert h.is_tree() is False  # still one cycle left
-    assert set(rec.fresh_edges) <= {e for e, _, _ in h.edge_list}
-    back = glue_edges(h, rec, restore_id=2)
-    assert same_labeled_graph(back, g) and back.edge_list == g.edge_list
 
-    hh, rec2 = cut_edge(h, find_cycle_edge(h))
+    hh, _ = cut_edge(h, find_cycle_edge(h))
     assert hh.is_tree()
     validate_13(hh)
 
 
 def test_cut_loop():
     g = dumbbell()
-    h, rec = cut_edge(g, 1)  # cutting a loop gives two pendant edges at v1
+    h, stubs = cut_edge(g, 1)  # cutting a loop gives two pendant edges at v1
     validate_13(h)
-    assert glue_edges(h, rec, restore_id=1) == g
+    assert stubs == (4, 5)
+    assert h.edge_list == ((2, 2, 2), (3, 1, 2), (4, 1, 3), (5, 1, 4))
+    assert h.slots(1) == (3, 4, 5)

@@ -41,7 +41,7 @@ from trivalent.nni import (
     tree_sequence,
 )
 
-from labeled_trees import trees_three_internal
+from labeled_trees import random_four_internal, trees_three_internal, trees_two_internal
 
 
 def reference_replay(g, moves):
@@ -190,6 +190,54 @@ def test_tree_sequence_rejects_mismatched_labels():
     b = tree_two_internal()
     with pytest.raises(GraphError):
         tree_sequence(a, b)
+
+
+@pytest.mark.parametrize(
+    "edges, swap",
+    [
+        # vertex 1 has degree 4
+        ([(1, 1, 2), (2, 1, 3), (3, 1, 4), (4, 1, 5), (5, 2, 6), (6, 2, 7)], (2, 5)),
+        # vertex 2 has degree 2
+        ([(1, 1, 2), (2, 2, 3), (3, 1, 4), (4, 1, 5), (5, 3, 6), (6, 3, 7)], (3, 5)),
+    ],
+)
+def test_trees_outside_13_are_rejected(edges, swap):
+    a = make_graph(edges)
+    b = a.rename_edges({swap[0]: swap[1], swap[1]: swap[0]})
+    assert a.is_tree() and not same_labeled_graph(a, b)
+    with pytest.raises(GraphError, match="degrees must be 1 or 3"):
+        canonical_caterpillar_sequence(a)
+    with pytest.raises(GraphError, match="degrees must be 1 or 3"):
+        tree_sequence(a, b)
+
+
+def _spine_from_lower_end(c: Graph) -> list[int]:
+    """The non-leaf path of caterpillar c, read from its lower-id end vertex."""
+    nonleaf = {v for v in c.vertex_ids if c.degrees[v] > 1}
+    inner = {v: [w for _, w in c.adjacency[v] if w in nonleaf] for v in nonleaf}
+    path = [min(v for v in nonleaf if len(inner[v]) <= 1)]
+    while len(path) < len(nonleaf):
+        path.append(next(w for w in inner[path[-1]] if w not in path))
+    return path
+
+
+def test_canonical_caterpillar_ascends_from_lower_end_vertex():
+    rng = random.Random(13)
+    trees = [claw(), *trees_two_internal()]
+    trees += [t for pair in combinations(range(1, 8), 2) for t in trees_three_internal(pair)]
+    trees += [random_four_internal(rng, spider=i % 2 == 0) for i in range(20)]
+    for t in trees:
+        _, c = canonical_caterpillar_sequence(t)
+        assert is_caterpillar(c)
+        path = _spine_from_lower_end(c)
+        internal = [
+            min(e for e, w in c.adjacency[x] if w == y) for x, y in zip(path, path[1:])
+        ]
+        external = [
+            e for x in path for e in sorted(e for e, w in c.adjacency[x] if c.degrees[w] == 1)
+        ]
+        assert internal == sorted(internal), t
+        assert external == sorted(external), t
 
 
 def test_graph_sequence_theta_dumbbell_frozen():
