@@ -152,23 +152,24 @@ def verlinde_count(n: int, t: int, precision: int | None = None) -> int:
     if t < 1 or t % 2 == 0:
         raise GraphError("t must be an odd positive integer")
     prec = max(precision or 80, 20)
-    # a private context, so the shared mpmath.iv precision is never touched
+    # private contexts, so the shared mpmath.iv and mpmath.mp precisions are
+    # never touched
     iv = mpmath.ctx_iv.MPIntervalContext()
+    mp = mpmath.ctx_mp.MPContext()
     while prec <= 4096:
-        iv.prec = prec
+        iv.prec = mp.prec = prec
         total = iv.mpf(0)
         pi = iv.pi
         for j in range(1, t + 2):
             s = iv.sin(pi * j / (t + 2))
             total += (1 / s) ** n
         value = total * iv.mpf(t + 2) ** (n // 2) / iv.mpf(2) ** (n + 1)
-        # endpoints are zero-width intervals; pick the candidate in plain
-        # floats, then certify against the enclosure itself
-        lo = mpmath.mpf(value.a)
-        hi = mpmath.mpf(value.b)
-        k = int(mpmath.nint((lo + hi) / 2))
+        # endpoints are zero-width intervals; pick the candidate at the same
+        # precision (a 53-bit one is off above 2**53), then certify it against
+        # the enclosure itself
+        k = int(mp.nint((mp.mpf(value.a) + mp.mpf(value.b)) / 2))
         diff = value - k
-        if mpmath.mpf(diff.a) > -0.25 and mpmath.mpf(diff.b) < 0.25:
+        if mp.mpf(diff.a) > -0.25 and mp.mpf(diff.b) < 0.25:
             return k
         prec *= 2
     raise GraphError("interval evaluation failed to certify an integer")

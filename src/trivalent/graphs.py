@@ -67,16 +67,6 @@ class Graph:
         except KeyError:
             raise GraphError(f"no edge with id {e}") from None
 
-    def is_loop(self, e: int) -> bool:
-        u, v = self.endpoints(e)
-        return u == v
-
-    def degree(self, v: int) -> int:
-        try:
-            return self.degrees[v]
-        except KeyError:
-            raise GraphError(f"no vertex with id {v}") from None
-
     @cached_property
     def _slot_map(self) -> dict[int, tuple[int, ...]]:
         """vertex -> sorted multiset of its edge ids, built in one pass."""

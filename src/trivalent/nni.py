@@ -458,6 +458,7 @@ def tree_sequence(t1: Graph, t2: Graph) -> MoveSequence:
         raise GraphError("tree_sequence expects two trees")
     _check_common_labels(t1, t2)
     if same_labeled_graph(t1, t2):
+        validate_13(t1)  # unequal trees are validated as they are canonicalized
         return MoveSequence(())
     mv1, c1 = canonical_caterpillar_sequence(t1)
     mv2, c2 = canonical_caterpillar_sequence(t2)

@@ -16,19 +16,22 @@ integer witness point that lands in exactly one child per move, constraint
 bookkeeping catches duplicated or contradicted half-spaces, and for the rest
 a float LP proposes either an interior point or a Farkas combination.  Every
 row is homogeneous, so any positive multiple of either is again a
-certificate: the proposal is rounded, scaled to a nonnegative integer vector
-and validated in integer arithmetic, with the exact simplex as the fallback.
-The float proposals are batched: the children of a group of pieces share one
-3-D tableau, solved in one pass, while every certificate is still validated
-on its own, in integers, and the pieces come out in the same order.
+certificate: the proposal is scaled to a nonnegative integer vector (by
+lcm(1..16) where its entries are that close to small-denominator rationals,
+by continued fractions otherwise) and validated in integer arithmetic, with
+the exact simplex as the fallback.  The float proposals are batched: the
+children of a group of pieces share one 3-D exchange tableau (the
+right-hand side and the nonbasic columns only), solved in one pass, while
+every certificate is still validated on its own, in integers, and the pieces
+come out in the same order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from operator import mul
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,7 +43,6 @@ from .exactlin import (
     identity,
     max_epsilon,
     matvec,
-    vecmat,
 )
 from .graphs import Graph, GraphError
 from .nni import MoveSequence, apply_nni
@@ -98,14 +100,16 @@ _SKIP = "skip"
 _ADD = "add"
 
 
-def _classify_constraint(existing: list[Constraint], vec: tuple[int, ...], sense: str) -> str:
-    """Decide a new half-space row against the rows already present.
+def _classify_constraint(
+    existing: AbstractSet[Constraint], vec: tuple[int, ...], neg: tuple[int, ...], sense: str
+) -> str:
+    """Decide a new half-space row (normal vec, its negation neg) against the
+    rows already present.
 
     Sound field rules only: an identical row is skipped; a row implied by a
     strictly stronger one is skipped; a row contradicting the same (or the
     negated) normal makes the child empty.
     """
-    neg = tuple(-x for x in vec)
     if (vec, sense) in existing:
         return _SKIP
     if sense == WEAK:
@@ -142,13 +146,17 @@ def _float_lps(
     re-verified exactly by the caller, so this routine only has to be fast,
     not trustworthy.
 
-    All problems share one dense 3-D Dantzig tableau, one layer each, whose
-    columns are the right-hand side, x, eps, then one unit slack per row.
-    Each layer gets, value for value, the arithmetic it would get alone (only
-    the sign of a zero may differ, which no comparison sees): the rows a
-    shorter problem lacks are zero but for their own slack, which never
-    enters; the entering column is the objective row's first maximum, the
-    lowest column on ties, as a single LP's argmax has it.
+    All problems share one 3-D exchange tableau, one layer each.  The full
+    Dantzig tableau has the columns right-hand side, x, eps, then one unit
+    slack per row; a basic column is a unit column there, so only the
+    right-hand side and the m + 1 nonbasic columns are stored, each slot
+    labelled with its full-tableau column.  A pivot first gives the entering
+    slot the leaving variable's unit column, then updates every entry as the
+    full tableau would, so each layer gets, value for value, the arithmetic
+    it would get alone on the full tableau (only the sign of a zero may
+    differ, which no comparison sees).  The rows a shorter problem lacks are
+    zero but for their own slack, which never leaves; the entering column is
+    the objective row's maximum, the lowest full-tableau column on ties.
     """
     out: list[tuple[float, list[float], list[float]] | None] = [None] * len(problems)
     if not problems:
@@ -156,22 +164,29 @@ def _float_lps(
     nweak = np.array([len(weak) for weak, _ in problems])
     sizes = nweak + [len(strict) + 1 for _, strict in problems]  # rows incl. eps row
     nrows = int(sizes.max())
+    ncols = m + 2 + nrows  # of the full tableau
     rows = np.arange(nrows)
-    vecs = [vec for weak, strict in problems for vec in (*weak, *strict)]
-    T = np.zeros((len(problems), nrows + 1, m + 2 + nrows))
+    # the problems of a batch share most rows: each distinct one is read once
+    index: dict[tuple[int, ...], int] = {}
+    ids = [
+        index.setdefault(vec, len(index)) for weak, strict in problems for vec in (*weak, *strict)
+    ]
+    T = np.zeros((len(problems), nrows + 1, m + 2))
     layer, row = np.nonzero(rows < sizes[:, None] - 1)
-    T[layer, row, 1 : m + 1] = np.fromiter(
-        chain.from_iterable(vecs), float, len(vecs) * m
-    ).reshape(-1, m)
+    T[layer, row, 1 : m + 1] = np.array(list(index), dtype=float).reshape(-1, m)[ids]
     T[:, :nrows, m + 1] = (rows >= nweak[:, None]) & (rows < sizes[:, None])
     T[np.arange(len(problems)), sizes - 1, 0] = 1.0  # eps <= 1
-    T[:, :nrows, m + 2 :] = np.eye(nrows)
     T[:, nrows, m + 1] = 1.0  # objective: maximize eps
+    slots = np.tile(np.arange(1, m + 2), (len(problems), 1))  # full column of each slot
     basis = np.tile(m + 2 + rows, (len(problems), 1))  # each row's basic column
     live = np.arange(len(problems))  # problem of each layer
     at = np.arange(len(problems))
     for _ in range(200):
-        entering = 1 + T[:, nrows, 1:].argmax(axis=1)
+        objective = T[:, nrows, 1:]
+        # basic columns are zero in the objective row, so they only tie
+        # where no column improves, and such a layer is done either way
+        top = objective == objective.max(axis=1)[:, None]
+        entering = 1 + np.where(top, slots, ncols).argmin(axis=1)
         factors = T[at, :, entering]  # the entering column, objective row included
         mask = factors[:, :nrows] > 1e-9
         done = factors[:, nrows] <= 1e-9
@@ -180,18 +195,22 @@ def _float_lps(
         drop = done | ~mask.any(axis=1)
         if drop.any():
             k = np.flatnonzero(done)
-            value = np.zeros((len(k), T.shape[2]))
+            value = np.zeros((len(k), ncols))
             value[np.arange(len(k))[:, None], basis[k]] = T[k, :nrows, 0]
-            # the duals of the weak+strict rows are their slacks' reduced costs, negated
+            # the duals of the weak+strict rows are their slacks' reduced
+            # costs, negated; a basic slack's is zero
+            reduced = np.zeros((len(k), ncols))
+            reduced[np.arange(len(k))[:, None], slots[k]] = T[k, nrows, 1:]
             for layer, eps, x, duals in zip(
                 k.tolist(),
                 (-T[k, nrows, 0]).tolist(),
                 value[:, 1 : m + 1].tolist(),
-                (-T[k, nrows, m + 2 :]).tolist(),
+                (-reduced[:, m + 2 :]).tolist(),
             ):
                 out[live[layer]] = (eps, x, duals[: sizes[layer] - 1])
             keep = ~drop
-            live, sizes, T, basis = live[keep], sizes[keep], T[keep], basis[keep]
+            live, sizes, T = live[keep], sizes[keep], T[keep]
+            slots, basis = slots[keep], basis[keep]
             if not len(live):
                 break
             entering, factors, mask = entering[keep], factors[keep], mask[keep]
@@ -199,18 +218,23 @@ def _float_lps(
         ratios = np.full(mask.shape, np.inf)
         np.divide(T[:, :nrows, 0], factors[:, :nrows], out=ratios, where=mask)
         leave = ratios.argmin(axis=1)
+        T[at, :, entering] = 0.0
+        T[at, leave, entering] = 1.0  # the leaving variable's unit column
         pivot = T[at, leave]
         pivot /= factors[at, leave][:, None]
         T[at, leave] = pivot
         factors[at, leave] = 0.0
         T -= np.einsum("li,lj->lij", factors, pivot)
-        basis[at, leave] = entering
+        slots[at, entering - 1], basis[at, leave] = basis[at, leave], slots[at, entering - 1]
     return out
 
 
 _ZERO_TOL = 1e-12
 _DENOMINATOR_LIMIT = 10**6
 _ZERO = Fraction(0)
+# lcm(1, ..., 16): the rationals the float proposals approximate have small
+# denominators, so scaling by this turns most of them into integers
+_SCALE = 720720
 
 
 def _round(values: Iterable[float]) -> list[Fraction]:
@@ -227,8 +251,50 @@ def _clear_denominators(values: Sequence[Fraction]) -> tuple[int, ...]:
     return divide_gcd([v.numerator * (den // v.denominator) for v in values])
 
 
+def _rays(
+    proposals: Sequence[tuple[float, list[float], list[float]] | None],
+) -> list[tuple[bool, tuple[int, ...]] | None]:
+    """What each float proposal offers as a certificate, as (is_point, the
+    primitive integer vector on the ray of _round's rationals); None stays None.
+
+    A proposal offers its point where eps > 1e-7 and its Farkas multipliers
+    otherwise.  All proposals are scaled by _SCALE at once: an entry v goes to
+    k = rint(v * _SCALE) when, in floats, v is within a quarter of
+    1/(q * _DENOMINATOR_LIMIT) of k/_SCALE = p/q in lowest terms; with k <=
+    2**30 the rounding error keeps the exact distance under half of that.
+    Two distinct fractions with denominators q and at most
+    _DENOMINATOR_LIMIT lie at least 1/(q * _DENOMINATOR_LIMIT) apart, so p/q
+    is the closest to v, which is what _round returns, and both vectors lie
+    on one ray.  A vector with any other entry goes through _round itself.
+    """
+    offered = [
+        (True, p[1]) if p[0] > 1e-7 else (False, p[2]) for p in proposals if p is not None
+    ]
+    width = max((len(vec) for _, vec in offered), default=0)
+    values = np.array([vec + [0.0] * (width - len(vec)) for _, vec in offered]).reshape(
+        len(offered), width
+    )
+    values[values <= _ZERO_TOL] = 0.0
+    scaled = values * _SCALE
+    # NaN and entries too large to scale exactly fail the tolerance test below
+    k = np.where(scaled <= 2**30, np.rint(scaled), 0.0).astype(np.int64)
+    q = _SCALE // np.gcd(k, _SCALE)
+    near = (np.abs(scaled - k) * q <= _SCALE / (4 * _DENOMINATOR_LIMIT)).all(axis=1)
+    k //= np.maximum(np.gcd.reduce(k, axis=1), 1)[:, None]
+    scaled_rows = iter(zip(offered, k.tolist(), near.tolist()))
+    out: list[tuple[bool, tuple[int, ...]] | None] = []
+    for p in proposals:
+        if p is None:
+            out.append(None)
+            continue
+        (is_point, vec), ints, fast = next(scaled_rows)
+        ray = tuple(ints[: len(vec)]) if fast else _clear_denominators(_round(vec))
+        out.append((is_point, ray))
+    return out
+
+
 def _dot(vec: Sequence[int], x: Sequence[int]) -> int:
-    return sum(c * v for c, v in zip(vec, x))
+    return sum(map(mul, vec, x))
 
 
 def _certify(
@@ -240,24 +306,26 @@ def _certify(
     that cone is empty.
 
     One batched float LP proposes every answer: a primal point (nonempty) or
-    Farkas multipliers (empty).  Each proposal is then rounded to rationals
-    and scaled to a nonnegative integer vector, which every row being
-    homogeneous allows, and checked on its own in integer arithmetic.  Only
-    when neither certificate validates does the exact simplex run; its point
-    is scaled to integers the same way.
+    Farkas multipliers (empty).  Each proposal is scaled to a nonnegative
+    integer vector, which every row being homogeneous allows, and checked on
+    its own in integer arithmetic.  Only when neither certificate validates
+    does the exact simplex run; its point is scaled to integers the same way.
     """
     cone_vecs = [vec for vec, _ in cone]
+    # the children of a group share most of their weak rows
+    negated = {
+        vec: tuple(-x for x in vec)
+        for vec in {vec for constraints in children for vec, sense in constraints if sense == WEAK}
+    }
     problems = []
     for constraints in children:
         strict = [vec for vec, sense in constraints if sense == STRICT]
-        weak = cone_vecs + [
-            tuple(-x for x in vec) for vec, sense in constraints if sense == WEAK
-        ]
+        weak = cone_vecs + [negated[vec] for vec, sense in constraints if sense == WEAK]
         problems.append((weak, strict))
-    proposals = iter(_float_lps([p for p in problems if p[1]], m))
+    rays = iter(_rays(_float_lps([p for p in problems if p[1]], m)))
     # without a strict row the origin qualifies
     return [
-        _validate(weak, strict, next(proposals), m) if strict else (0,) * m
+        _validate(weak, strict, next(rays), m) if strict else (0,) * m
         for weak, strict in problems
     ]
 
@@ -265,27 +333,23 @@ def _certify(
 def _validate(
     weak_vecs: list[tuple[int, ...]],
     strict_vecs: list[tuple[int, ...]],
-    proposal: tuple[float, list[float], list[float]] | None,
+    ray: tuple[bool, tuple[int, ...]] | None,
     m: int,
 ) -> tuple[int, ...] | None:
-    """Check one float proposal exactly; the exact simplex decides otherwise."""
-    if proposal is not None:
-        eps, x_f, duals = proposal
-        if eps > 1e-7:
-            x = _clear_denominators(_round(x_f))
-            if all(_dot(vec, x) <= 0 for vec in weak_vecs) and all(
-                _dot(vec, x) < 0 for vec in strict_vecs
+    """Check one scaled proposal exactly; the exact simplex decides otherwise."""
+    if ray is not None:
+        is_point, vec = ray
+        if is_point:
+            if all(_dot(w, vec) <= 0 for w in weak_vecs) and all(
+                _dot(s, vec) < 0 for s in strict_vecs
             ):
-                return x
-        else:
-            y = _clear_denominators(_round(duals))
-            n_weak = len(weak_vecs)
-            # y >= 0 with y.W + y.S >= 0 coordinatewise and sum over strict
-            # rows positive forces eps <= 0 for every feasible point
-            if any(y[n_weak:]):
-                used = [(yv, vec) for yv, vec in zip(y, weak_vecs + strict_vecs) if yv]
-                if all(sum(yv * vec[j] for yv, vec in used) >= 0 for j in range(m)):
-                    return None
+                return vec
+        # y >= 0 with y.W + y.S >= 0 coordinatewise and sum over strict
+        # rows positive forces eps <= 0 for every feasible point
+        elif any(vec[len(weak_vecs) :]):
+            used = [(yv, row) for yv, row in zip(vec, weak_vecs + strict_vecs) if yv]
+            if all(sum(yv * row[j] for yv, row in used) >= 0 for j in range(m)):
+                return None
     eps, x = max_epsilon(
         [(vec, 0) for vec in weak_vecs],
         [(vec, 0) for vec in strict_vecs],
@@ -296,36 +360,47 @@ def _validate(
     return _clear_denominators(x) if eps > 0 else None
 
 
+def _pull_back(terms: Sequence[tuple[int, int]], matrix: IntMatrix) -> tuple[int, ...]:
+    """vec @ matrix for a vec given by its nonzero (index, entry) terms: a sum
+    of as many matrix rows."""
+    rows = [[c * x for x in matrix[i]] for i, c in terms]
+    return tuple(map(sum, zip(*rows))) if rows else (0,) * len(matrix)
+
+
 def _children(
-    piece: Piece, h1: tuple[int, ...], h2: tuple[int, ...]
+    piece: Piece, terms1: Sequence[tuple[int, int]], terms2: Sequence[tuple[int, int]]
 ) -> list[tuple[list[Constraint], str, tuple[int, ...] | None]]:
     """The cases of a move that bookkeeping leaves alive inside a piece.
 
-    Each comes as (constraints, case, witness), the witness being the
+    The move's normals h1 and h2 come as their nonzero (index, entry) terms.
+    Each case comes as (constraints, case, witness), the witness being the
     piece's own when it lies in that case and None when the case still
     needs a certificate.
     """
-    p1 = vecmat(h1, piece.matrix)
-    p2 = vecmat(h2, piece.matrix)
+    p1 = _pull_back(terms1, piece.matrix)
+    p2 = _pull_back(terms2, piece.matrix)
     s1 = _dot(p1, piece.witness)
     s2 = _dot(p2, piece.witness)
-    normals = (divide_gcd(p1), divide_gcd(p2))
+    normals = [(vec, tuple(-x for x in vec)) for vec in (divide_gcd(p1), divide_gcd(p2))]
+    present = set(piece.constraints)
     out = []
     for case, senses in _CASE_SENSES.items():
         constraints = list(piece.constraints)
+        existing = present
         dead = False
-        for vec, sense in zip(normals, senses):
+        for (vec, neg), sense in zip(normals, senses):
             if not any(vec):
                 if sense == STRICT:
                     dead = True  # 0 < 0 never holds
                     break
                 continue  # 0 >= 0 always holds
-            verdict = _classify_constraint(constraints, vec, sense)
+            verdict = _classify_constraint(existing, vec, neg, sense)
             if verdict == _DEAD:
                 dead = True
                 break
             if verdict == _ADD:
                 constraints.append((vec, sense))
+                existing = present | {(vec, sense)}
         if dead:
             continue
         wa, wb = senses
@@ -334,8 +409,10 @@ def _children(
     return out
 
 
-# pieces whose children share one batched LP; bounds the tableau's memory
-_GROUP = 32
+# pieces whose children share one batched LP: a larger batch spreads each
+# pivot's fixed numpy overhead over more layers; past 256 the K4 -> T4 build
+# gets no faster while its peak memory grows (512: about 8 MB more)
+_GROUP = 256
 
 
 def build_decomposition(g: Graph, seq: MoveSequence) -> Decomposition:
@@ -354,13 +431,15 @@ def build_decomposition(g: Graph, seq: MoveSequence) -> Decomposition:
     current = g
     for trail in seq.moves:
         site = resolve_site(current, trail)
-        h1, h2 = site_normals(site, edge_order)
+        terms1, terms2 = (
+            [(i, c) for i, c in enumerate(h) if c] for h in site_normals(site, edge_order)
+        )
         next_pieces: list[Piece] = []
         for start in range(0, len(pieces), _GROUP):
             children = [
                 (constraints, piece, case, witness)
                 for piece in pieces[start : start + _GROUP]
-                for constraints, case, witness in _children(piece, h1, h2)
+                for constraints, case, witness in _children(piece, terms1, terms2)
             ]
             certified = iter(
                 _certify([c for c, _, _, witness in children if witness is None], cone, m)
@@ -423,6 +502,55 @@ class VerificationReport:
 
 
 _INT64_SAFE = 2**40
+# entries of one cover product (constraint rows of a chunk of pieces times
+# points): bounds the check's memory
+_COVER_CHUNK = 2**18
+
+
+def _int64_guarded(rows: list, shape: tuple[int, ...]) -> np.ndarray:
+    """rows as an int64 array of the given shape; GraphError when an entry
+    reaches _INT64_SAFE in absolute value (products then could overflow)."""
+    try:
+        out = np.array(rows, dtype=np.int64).reshape(shape)
+    except OverflowError:  # beyond int64 itself
+        out = None
+    if out is None or out.size and (out.max() >= _INT64_SAFE or out.min() <= -_INT64_SAFE):
+        raise GraphError("matrix entries too large for vectorized verification")
+    return out
+
+
+def _cover(
+    normals: np.ndarray, ids: np.ndarray, strict: np.ndarray, bounds: np.ndarray, pts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """How many pieces claim each point, and the last piece that does (-1 for
+    none).  Constraint row r reads normals[ids[r]] @ x < 0 where strict[r],
+    >= 0 otherwise, and piece i owns the rows bounds[i]:bounds[i+1].
+
+    Each distinct normal is evaluated once; the rows then read its sign, for
+    chunks of pieces of about _COVER_CHUNK / len(pts) rows at a time.  The
+    caller keeps len(normals) * len(pts) near _COVER_CHUNK as well.
+    """
+    n = len(pts)
+    nonnegative = normals @ pts.T >= 0
+    claimed = np.zeros(n, dtype=np.int64)
+    owners = np.full(n, -1, dtype=np.int64)
+    step = max(_COVER_CHUNK // max(n, 1), 1)
+    lo = 0
+    while lo < len(bounds) - 1:
+        hi = max(int(np.searchsorted(bounds, bounds[lo] + step, side="right")) - 1, lo + 1)
+        r0, r1 = bounds[lo], bounds[hi]
+        starts = bounds[lo:hi]
+        has_rows = starts < bounds[lo + 1 : hi + 1]
+        claims = np.ones((hi - lo, n), dtype=bool)  # a piece without rows claims all
+        if r1 > r0:
+            # a weak row fails where n.x < 0, a strict one where n.x >= 0
+            failed = nonnegative[ids[r0:r1]] == strict[r0:r1, None]
+            claims[has_rows] = ~np.logical_or.reduceat(failed, starts[has_rows] - r0, axis=0)
+        claimed += claims.sum(axis=0)
+        last = hi - 1 - claims[::-1].argmax(axis=0)
+        owners = np.where(claims.any(axis=0), last, owners)
+        lo = hi
+    return claimed, owners
 
 
 def verify_decomposition(d: Decomposition, dilations: Iterable[int]) -> VerificationReport:
@@ -446,20 +574,19 @@ def verify_decomposition(d: Decomposition, dilations: Iterable[int]) -> Verifica
         sites.append(resolve_site(cur, trail))
         cur = apply_nni(cur, trail)
 
-    rows = (row for p in d.pieces for row in (*p.matrix, *(vec for vec, _ in p.constraints)))
-    if max((abs(x) for row in rows for x in row), default=0) >= _INT64_SAFE:
-        raise GraphError("matrix entries too large for vectorized verification")
-    piece_data = []
-    for p in d.pieces:
-        weak_rows = [vec for vec, sense in p.constraints if sense == WEAK]
-        strict_rows = [vec for vec, sense in p.constraints if sense == STRICT]
-        piece_data.append(
-            (
-                np.array(weak_rows, dtype=np.int64).reshape(len(weak_rows), m),
-                np.array(strict_rows, dtype=np.int64).reshape(len(strict_rows), m),
-                np.array(p.matrix, dtype=np.int64),
-            )
-        )
+    matrices = _int64_guarded([p.matrix for p in d.pieces], (-1, m, m))
+    # pieces share most of their rows: each distinct normal is stored once
+    bounds = np.cumsum([0] + [len(p.constraints) for p in d.pieces])
+    index: dict[tuple[int, ...], int] = {}
+    ids = np.fromiter(
+        (index.setdefault(vec, len(index)) for p in d.pieces for vec, _ in p.constraints),
+        np.intp,
+        bounds[-1],
+    )
+    strict = np.fromiter(
+        (sense == STRICT for p in d.pieces for _, sense in p.constraints), bool, bounds[-1]
+    )
+    normals = _int64_guarded(list(index), (-1, m))
 
     checks = []
     ok = all(x in (1, -1) for x in dets)
@@ -468,24 +595,19 @@ def verify_decomposition(d: Decomposition, dilations: Iterable[int]) -> Verifica
             list(iter_lattice_points(src, t)), dtype=np.int64
         ).reshape(-1, m)
         n = len(pts)
-        owners = np.full(n, -1, dtype=np.int64)
         claimed = np.zeros(n, dtype=np.int64)
-        for i, (wk, st, _) in enumerate(piece_data):
-            mask = np.ones(n, dtype=bool)
-            if wk.size:
-                mask &= (wk @ pts.T >= 0).all(axis=0)
-            if st.size:
-                mask &= (st @ pts.T < 0).all(axis=0)
-            claimed += mask
-            owners[mask] = i
+        owners = np.full(n, -1, dtype=np.int64)
+        images = np.zeros_like(pts)
+        # points per step: bounds the table of signs and the gathered matrices
+        block = max(_COVER_CHUNK // max(len(normals), m * m, 1), 1)
+        for i in range(0, n, block):
+            part = slice(i, i + block)
+            claimed[part], owners[part] = _cover(normals, ids, strict, bounds, pts[part])
+            owned = i + np.flatnonzero(owners[part] >= 0)
+            images[owned] = np.einsum("pij,pj->pi", matrices[owners[owned]], pts[owned])
         unique = bool((claimed == 1).all())
 
         replay_ok = True
-        images = np.zeros_like(pts)
-        for i, (_, _, mat) in enumerate(piece_data):
-            sel = owners == i
-            if sel.any():
-                images[sel] = pts[sel] @ mat.T
         for row_pt, row_im, owner in zip(pts, images, owners):
             if owner < 0:
                 replay_ok = False

@@ -164,6 +164,11 @@ def test_ehrhart_verlinde(capsys):
     assert payload["polynomial"] == [[1, 4], [11, 24], [1, 4], [1, 24]]
 
 
+def test_ehrhart_verlinde_above_2_53(capsys):
+    payload = run_json(capsys, "ehrhart", "verlinde", "-n", "4", "-t", "3001")
+    assert payload["count"] == 509295668635905151  # zagier_polynomial(4) at 3001
+
+
 def test_ehrhart_volume(capsys):
     payload = run_json(capsys, "ehrhart", "volume", "theta")
     assert payload["ok"] is True

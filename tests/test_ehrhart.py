@@ -140,6 +140,14 @@ def test_verlinde_leaves_shared_precision_alone():
         mpmath.iv.prec = saved
 
 
+def test_verlinde_above_2_53():
+    value = sum(c * 3001**k for k, c in enumerate(zagier_polynomial(4)))
+    assert value == 509295668635905151  # 59 bits: a float64 candidate is off by 1
+    saved = mpmath.mp.prec
+    assert verlinde_count(4, 3001) == value
+    assert mpmath.mp.prec == saved
+
+
 def test_verlinde_matches_enumeration():
     for t in (1, 3, 5):
         assert verlinde_count(2, t) == count_points(theta(), t)

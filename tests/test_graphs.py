@@ -45,8 +45,9 @@ def test_parse_rejects_bad_input():
 
 def test_loops_count_twice():
     g = lollipop()  # loop plus a pendant edge
-    assert g.degree(1) == 3
-    assert g.is_loop(1)
+    assert g.degrees[1] == 3
+    u, v = g.endpoints(1)
+    assert u == v  # edge 1 is the loop
     assert sorted(degree_sequence(g)) == [1, 3]
     assert g.slots(1) == (1, 1, 2)
 

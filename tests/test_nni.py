@@ -209,6 +209,8 @@ def test_trees_outside_13_are_rejected(edges, swap):
         canonical_caterpillar_sequence(a)
     with pytest.raises(GraphError, match="degrees must be 1 or 3"):
         tree_sequence(a, b)
+    with pytest.raises(GraphError, match="degrees must be 1 or 3"):
+        tree_sequence(a, a)
 
 
 def _spine_from_lower_end(c: Graph) -> list[int]:

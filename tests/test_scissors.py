@@ -1,4 +1,5 @@
 """Half-open decomposition: frozen small case plus structural checks."""
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -96,11 +97,17 @@ def test_rejects_wrong_source():
         build_decomposition(dumbbell(), seq)
 
 
-@pytest.mark.parametrize("field", ["matrix", "constraints"])
-def test_verify_refuses_entries_beyond_int64_guard(theta_decomposition, field):
+@pytest.mark.parametrize(
+    "field, big",
+    [
+        pytest.param(field, big, id=field + label)
+        for label, big in (("", 2**40), ("-2**63", 2**63), ("-minus-2**63", -(2**63)))
+        for field in ("matrix", "constraints")
+    ],
+)
+def test_verify_refuses_entries_beyond_int64_guard(theta_decomposition, field, big):
     d = theta_decomposition
     piece = d.pieces[0]
-    big = 2**40
     if field == "matrix":
         piece = replace(piece, matrix=((1, 0, 0), (0, 1, 0), (big, 0, 1)))
     else:
@@ -159,6 +166,41 @@ def test_every_k4_t4_piece_exercised(k4_t4):
     _check_every_piece(d)
 
 
+def test_k4_t4_pieces_frozen(k4_t4):
+    _, d = k4_t4
+    pieces = repr([(p.constraints, p.matrix, p.witness) for p in d.pieces])
+    assert hashlib.sha256(pieces.encode()).hexdigest() == (
+        "a2c64dd0dd58a7be3edbef6905240ae2e1d60fec008ef10c8a889d9b68288be4"
+    )
+
+
+def test_cover_chunks_agree(k4_t4, theta_decomposition, monkeypatch):
+    _, d = k4_t4
+    reports = [verify_decomposition(d, range(5)), verify_decomposition(theta_decomposition, range(7))]
+    assert all(report.ok for report in reports)
+    # K4 -> T4 has 1,332 distinct normals: three points per block, about 60
+    # pieces per chunk; on theta, one point and one piece at a time
+    monkeypatch.setattr(scissors, "_COVER_CHUNK", 4000)
+    assert verify_decomposition(d, range(5)) == reports[0]
+    monkeypatch.setattr(scissors, "_COVER_CHUNK", 1)
+    assert verify_decomposition(theta_decomposition, range(7)) == reports[1]
+
+
+def test_children_classify_the_second_row_against_the_first():
+    # a degenerate site: h2 equal to h1, or its negation
+    piece = scissors.Piece((), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 1, 1))
+    n, neg = (1, -1, 0), (-1, 1, 0)
+    terms, opposite = [(0, 1), (1, -1)], [(0, -1), (1, 1)]
+    children = [(c, case) for c, case, _ in scissors._children(piece, terms, terms)]
+    assert children == [([(n, WEAK)], "A"), ([(n, STRICT)], "D")]
+    children = [(c, case) for c, case, _ in scissors._children(piece, terms, opposite)]
+    assert children == [
+        ([(n, WEAK), (neg, WEAK)], "A"),
+        ([(n, WEAK), (neg, STRICT)], "B"),
+        ([(n, STRICT)], "C"),
+    ]
+
+
 def _satisfies(constraints, cone, x) -> bool:
     """x meets the cone rows and the constraints, strict ones strictly."""
     def dot(vec):
@@ -206,6 +248,66 @@ def test_certify_falls_back_to_exact_simplex(monkeypatch):
     [x] = scissors._certify([NONEMPTY], cone, 3)
     assert x is not None and all(type(v) is int for v in x)
     assert _satisfies(NONEMPTY, cone, x)
+    assert scissors._certify([EMPTY], cone, 3) == [None]
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("den, fallbacks", [(13, 0), (17, 1)])
+def test_certify_scales_or_falls_back_to_continued_fractions(monkeypatch, den, fallbacks):
+    # (3, 2, 2) / den lies in NONEMPTY; 13 divides the scale, 17 does not
+    x = [3 / den, 2 / den, 2 / den]
+    monkeypatch.setattr(scissors, "_float_lps", lambda problems, m: [(0.5, x, [0.0])])
+    monkeypatch.setattr(scissors, "max_epsilon", _no_simplex)
+    calls = []
+    rounded = scissors._round
+
+    def spy(values):
+        calls.append(values)
+        return rounded(values)
+
+    monkeypatch.setattr(scissors, "_round", spy)
+    assert scissors._certify([NONEMPTY], scissors._cone_rows(theta()), 3) == [(3, 2, 2)]
+    assert len(calls) == fallbacks
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [3 / 13, 2 / 13, 0.0],  # the denominator divides the scale
+        [3 / 17, 2 / 17, 2 / 17],  # it does not
+        [0.5 + 1e-6, 0.25, 0.0],  # near 1/2, but _round keeps 500001/1000000
+        [1 + 6e-7, 0.5, 0.0],  # under half a scale step from 1, but _round leaves 1
+        [1 / 720720 + 1e-12, 1.0, 0.0],  # the finest fraction the scale holds
+        [1e-11, -0.5, 0.75],  # tiny and negative entries
+        [float("nan"), 0.5, 0.5],
+        [3000.25, 1.0, 0.0],  # too large to scale
+    ],
+)
+def test_rays_match_round_on_edge_cases(values):
+    expected = (True, scissors._clear_denominators(scissors._round(values)))
+    assert scissors._rays([None, (0.5, values, [])]) == [None, expected]
+    expected = (False, scissors._clear_denominators(scissors._round(values)))
+    assert scissors._rays([(0.0, [0.0], values)]) == [expected]
+
+
+def test_wrong_reconstruction_goes_to_exact_simplex(monkeypatch):
+    cone = scissors._cone_rows(theta())
+    # within tolerance of (1/2, 1/2, 1/4), so it scales to (2, 2, 1), which
+    # breaks NONEMPTY's strict row; and multipliers that sum to (-1, 1, 1)
+    point = (0.5, [0.5, 0.5 - 1e-10, 0.25], [])
+    farkas = (0.0, [0.0] * 3, [0.0] * len(cone) + [1.0])
+    calls = []
+    exact = scissors.max_epsilon
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(scissors, "max_epsilon", spy)
+    monkeypatch.setattr(scissors, "_float_lps", lambda problems, m: [point])
+    [x] = scissors._certify([NONEMPTY], cone, 3)
+    assert x is not None and _satisfies(NONEMPTY, cone, x)
+    monkeypatch.setattr(scissors, "_float_lps", lambda problems, m: [farkas])
     assert scissors._certify([EMPTY], cone, 3) == [None]
     assert len(calls) == 2
 
@@ -328,3 +430,45 @@ def test_fallback_runs_only_for_the_failed_proposal(monkeypatch, source, target,
         (p.constraints, p.matrix) for p in expected.pieces
     ]
     _check_every_piece(d)
+
+
+@pytest.fixture(scope="module")
+def k4_t4_lps():
+    """Every LP batch of the full K4 -> T4 build and the proposals it got."""
+    batches = []
+    solve = scissors._float_lps
+
+    def record(problems, m):
+        proposals = solve(problems, m)
+        batches.append((list(problems), proposals))
+        return proposals
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scissors, "_float_lps", record)
+        build_decomposition(k4(), graph_sequence(k4(), t4()))
+    return [(problems, proposals) for problems, proposals in batches if problems]
+
+
+def test_widest_full_build_batch_matches_solving_each_alone(k4_t4_lps):
+    problems, _ = max(k4_t4_lps, key=lambda batch: max(map(_rows, batch[0])))
+    assert max(map(_rows, problems)) > 32  # wider than any batch of the first ten moves
+    _assert_alone_and_together(problems, len(k4().edges))
+
+
+def _no_fallback(values):
+    raise AssertionError("the continued-fraction fallback ran")
+
+
+def test_scaled_rays_match_continued_fractions(k4_t4_lps, monkeypatch):
+    """The scaled reconstruction gives _round's vector on every K4 -> T4
+    proposal, and never needs the continued-fraction fallback there."""
+    round_ = scissors._round
+    proposals = [p for _, batch in k4_t4_lps for p in batch]
+    assert len(proposals) == 17660 and None not in proposals
+    expected = [
+        (True, scissors._clear_denominators(round_(x))) if eps > 1e-7
+        else (False, scissors._clear_denominators(round_(duals)))
+        for eps, x, duals in proposals
+    ]
+    monkeypatch.setattr(scissors, "_round", _no_fallback)
+    assert [ray for _, batch in k4_t4_lps for ray in scissors._rays(batch)] == expected

@@ -33,7 +33,7 @@ def site_pool() -> list[tuple[Graph, Trail]]:
     for g in graphs:
         for trail in legal_trails(g):
             u, v = trail.u, trail.v
-            if g.degree(u) == 3 and g.degree(v) == 3:
+            if g.degrees[u] == 3 and g.degrees[v] == 3:
                 pool.append((g, trail))
     return pool
 
