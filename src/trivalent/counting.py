@@ -7,20 +7,36 @@ Three independent routes:
   straightforward; serves as the reference oracle.
 * count_tree_dp -- message passing along a tree with all degrees in {1, 3};
   O(n * t^3) via int64 tensor contractions.
-* count_elimination -- vertex-by-vertex tensor contraction for arbitrary
-  graphs that pass validate_13 (cycles allowed); needed where backtracking is
-  hopeless, e.g. quasi-polynomial extraction at t around 35.
+* count_elimination -- contraction of the graph's tensor network for
+  arbitrary graphs that pass validate_13 (cycles allowed); needed where
+  backtracking is hopeless, e.g. quasi-polynomial extraction at t around 35.
 
 The tensor routes evaluate the rows of polytope.KINDS on one vertex's slot
 values.  Rational dilation parameters are handled exactly by clearing
 denominators; all comparisons happen in integers.
 
-Work that does not depend on the count is done once.  A graph's elimination
-plan (vertex order, one einsum script per vertex, paired axes per step)
-depends only on the graph, so _plan is cached per exact Graph.  The vals^3
-slot indicator depends only on the dilation, kind and strictness, so every
-graph shares one read-only bool tensor per (lo, hi, p, q, kind, strict);
-each call casts it to the dtype it needs.  That cache holds up to
+count_elimination runs a contraction tree: each leaf is one degree-3
+vertex's copy of the slot indicator (pendants and loops summed in), each
+internal node one pairwise contraction of its children.  The tree comes from
+an exact DP over subsets of the degree-3 vertices (the narrowest widest
+intermediate, then the fewest flops) while there are at most
+_DP_MAX_VERTICES of them, and from a greedy rule beyond.  A tree's widest
+intermediate is governed by treewidth, where a linear frontier's is at least
+the cutwidth of its vertex order: 4 against 5 axes on K3,3, 4 against 11 on
+the 10-prism.  A shrinking contraction whose first operand has at least
+_SLAB_MIN_ENTRIES entries runs in slabs, which keeps its copies small;
+smaller ones run in one call.  Contractions are float64 BLAS products, exact
+while len(vals)**m < 2**53 and, beyond, whenever every step's largest entry
+stays below 2**53 (checked after the fact); otherwise the count reruns in
+int64 or is refused.  A plan whose widest tensor would exceed _TENSOR_BUDGET
+bytes is refused before anything is allocated.
+
+Work that does not depend on the count is done once.  A graph's contraction
+plan (the tree in postorder, one einsum script per vertex, paired axes per
+contraction) depends only on the graph, so _plan is cached per exact Graph.
+The vals^3 slot indicator depends only on the dilation, kind and strictness,
+so every graph shares one read-only bool tensor per (lo, hi, p, q, kind,
+strict); each call casts it to the dtype it needs.  That cache holds up to
 _INDICATOR_CACHE_SIZE tensors of at most _INDICATOR_CACHE_MAX bytes each
 (at most 8 MiB, and far less in practice: a full quasi-polynomial sweep of a
 9-edge graph holds about 0.7 MB); larger tensors are built per call, so a big
@@ -30,13 +46,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from itertools import combinations
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .graphs import Graph, GraphError, validate_13
 from .polytope import KINDS, SIGN_PATTERNS, InequalitySystem, inequality_system
 
+# Bounds of exact float64 arithmetic and of the int64 routes: every tensor
+# entry counts at most len(vals)**m assignments.
+_FLOAT_EXACT = 2**53
 _INT64_LIMIT = 2**62
 
 
@@ -49,6 +69,20 @@ def _dilation(t, box: str) -> tuple[int, int, int, int]:
     p, q = t.numerator, t.denominator
     hi = p // q
     return p, q, (0 if box == "nonneg" else -hi), hi
+
+
+# The most bytes one 8-byte tensor of a tensor route may take: the vals^3
+# indicator, and for count_elimination its plan's widest tensor, are checked
+# against it before anything is allocated.
+_TENSOR_BUDGET = 2**31
+
+
+def _check_budget(n_vals: int, rank: int) -> None:
+    if 8 * n_vals**rank > _TENSOR_BUDGET:
+        raise GraphError(
+            f"count too large for memory: a tensor of {n_vals}**{rank} 8-byte "
+            f"entries exceeds the {_TENSOR_BUDGET >> 30} GiB budget"
+        )
 
 
 def _last_ranges(
@@ -191,6 +225,7 @@ def count_tree_dp(g: Graph, t) -> int:
     p, q, lo, hi = _dilation(t, KINDS["membership"][1])
     if (hi - lo + 1) ** len(g.edges) >= _INT64_LIMIT:
         raise GraphError("count too large for int64 message passing")
+    _check_budget(hi - lo + 1, 3)
     vals = np.arange(lo, hi + 1, dtype=np.int64)
     ind = _slot_indicator(vals, p, q, "membership", False, np.int64)
     internal = [v for v in sorted(g.vertex_ids) if g.degrees[v] == 3]
@@ -225,7 +260,14 @@ def count_tree_dp(g: Graph, t) -> int:
     raise AssertionError("unreachable")
 
 
-# -- vertex elimination for general graphs ------------------------------------
+# -- contraction-tree elimination for general graphs ---------------------------
+
+
+# _contract slabs a shrinking step only when its first operand has at least
+# this many entries.  Smaller operands are copied whole by one tensordot call,
+# which costs less than a loop of slab calls; from here up, slabs keep the
+# peak near the operand's size (measured in BENCH_13.json).
+_SLAB_MIN_ENTRIES = 2**16
 
 
 def _contract(
@@ -235,15 +277,15 @@ def _contract(
 
     The result keeps the unpaired frontier axes, then the unpaired tensor
     axes, as np.tensordot orders them.  tensordot copies an operand whose
-    summed axes are not contiguous; when the result is smaller than the
-    frontier, the contraction runs in slabs along the first kept frontier
-    axis, so each copy is one slab and the peak stays near the frontier's
-    size.
+    summed axes are not contiguous; when the result has fewer axes than the
+    frontier and the frontier has at least _SLAB_MIN_ENTRIES entries, the
+    contraction runs in slabs along the first kept frontier axis, so each copy
+    is one slab and the peak stays near the frontier's size.
     """
     f_shared, t_shared = shared
     kept = [k for k in range(frontier.ndim) if k not in f_shared]
     new_ndim = tensor.ndim - len(t_shared)
-    if not kept or new_ndim >= len(f_shared):
+    if not kept or new_ndim >= len(f_shared) or frontier.size < _SLAB_MIN_ENTRIES:
         return np.tensordot(frontier, tensor, axes=shared)
     k0 = kept[0]
     slab_shared = [k - (k > k0) for k in f_shared]
@@ -261,102 +303,226 @@ def _contract(
 # semi-reflexive checks) come together, so a small cache catches them.
 _PLAN_CACHE_SIZE = 64
 
-# One elimination step: the einsum script that takes a vertex's tensor from
-# the slot indicator, and the (frontier axes, tensor axes) it pairs.
-_Step = tuple[str, tuple[tuple[int, ...], tuple[int, ...]]]
+# Plans of graphs with at most this many degree-3 vertices come from the
+# exact subset DP, whose cost grows as 3**n; larger graphs use the greedy
+# rule, whose cost grows as n**3.
+_DP_MAX_VERTICES = 10
+
+# The DP weighs a step over k distinct edges as _PLAN_VALUES**k flops, a
+# mid-range dilation; this only orders trees of equal widest intermediate.
+_PLAN_VALUES = 32
+
+# A contraction tree as a list of merges: leaves are nodes 0..n-1, and merge
+# k, a pair of earlier nodes, is node n + k.
+_Merges = list[tuple[int, int]]
+
+
+class _Plan(NamedTuple):
+    """A contraction tree in postorder, and the most axes any of its tensors
+    has.  A str step pushes one degree-3 vertex's tensor (an einsum script on
+    the slot indicator); a pair (first axes, second axes) pops two tensors and
+    pushes their _contract over those paired axes."""
+
+    steps: tuple[str | tuple[tuple[int, ...], tuple[int, ...]], ...]
+    widest: int
+
+
+def _leaves(g: Graph) -> list[tuple[str, list[int]]]:
+    """(einsum script, open edges) of each degree-3 vertex, by vertex id.
+
+    An edge stays open until both its degree-3 endpoints are merged; an edge
+    whose only degree-3 endpoint is the vertex itself (a pendant, a loop) is
+    summed out in its script, and a loop takes the indicator's diagonal.
+    """
+    owners = {
+        e: {x for x in (u, w) if g.degrees[x] == 3} for e, u, w in g.edge_list
+    }
+    leaves = []
+    for v in sorted(g.vertex_ids):
+        if g.degrees[v] != 3:
+            continue
+        axes = [e for e in g.incident_edges(v) if owners[e] != {v}]
+        slots = g.slots(v)
+        letter = {e: "abc"[i] for i, e in enumerate(dict.fromkeys(slots))}
+        script = "".join(letter[e] for e in slots) + "->"
+        leaves.append((script + "".join(letter[e] for e in axes), axes))
+    return leaves
+
+
+def _dp_tree(masks: list[int]) -> _Merges:
+    """The tree with the narrowest widest intermediate, then the fewest flops.
+
+    masks[i] is the bit set of leaf i's open edges.  An open edge joins two
+    leaves, so the open edges of a set of leaves are the XOR of their masks.
+    A first pass over every split of every subset finds the narrowest widest
+    intermediate; a second finds the fewest flops under that width.
+    """
+    n = len(masks)
+    full = (1 << n) - 1
+    open_ = [0] * (full + 1)
+    for s in range(1, full + 1):
+        low = s & -s
+        open_[s] = open_[s ^ low] ^ masks[low.bit_length() - 1]
+    rank = [x.bit_count() for x in open_]
+
+    def splits(s: int) -> Iterator[int]:
+        # the parts containing s's lowest leaf, s itself excluded
+        low = s & -s
+        rest = sub = s ^ low
+        while sub:
+            sub = (sub - 1) & rest
+            yield low | sub
+
+    width = rank[:]
+    for s in range(1, full + 1):
+        if s & (s - 1):
+            width[s] = max(rank[s], min(max(width[a], width[s ^ a]) for a in splits(s)))
+
+    cap = width[full]
+    flops = [_PLAN_VALUES**k for k in range(max(rank) * 2 + 1)]
+    cost = [0.0 if x <= cap else float("inf") for x in rank]
+    split = [0] * (full + 1)
+    for s in range(1, full + 1):
+        if s & (s - 1) and rank[s] <= cap:
+            cost[s], split[s] = min(
+                (cost[a] + cost[b] + flops[(open_[a] | open_[b]).bit_count()], a)
+                for a in splits(s)
+                for b in (s ^ a,)
+            )
+
+    merges: _Merges = []
+
+    def build(s: int) -> int:
+        if not s & (s - 1):
+            return s.bit_length() - 1
+        a = split[s]
+        merges.append((build(a), build(s ^ a)))
+        return n + len(merges) - 1
+
+    if n:
+        build(full)
+    return merges
+
+
+def _greedy_tree(masks: list[int]) -> _Merges:
+    """Repeatedly merge the two adjacent tensors whose result has the fewest
+    open edges (ties: fewer edges in the step, then lowest node ids); tensors
+    that share no edge are merged only when no adjacent pair is left."""
+    live = dict(enumerate(masks))
+    merges: _Merges = []
+    while len(live) > 1:
+        *_, i, j = min(
+            (not live[i] & live[j], (live[i] ^ live[j]).bit_count(),
+             (live[i] | live[j]).bit_count(), i, j)
+            for i, j in combinations(live, 2)
+        )
+        live[len(masks) + len(merges)] = live.pop(i) ^ live.pop(j)
+        merges.append((i, j))
+    return merges
+
+
+def _build_plan(g: Graph, tree: Callable[[list[int]], _Merges]) -> _Plan:
+    """Compile the tree that ``tree`` (_dp_tree or _greedy_tree) finds for g.
+
+    Of each merge, the child with more axes is computed first and becomes
+    _contract's first operand, the one it slabs.
+    """
+    leaves = _leaves(g)
+    bit = {e: 1 << k for k, e in enumerate(g.edges)}
+    masks = [sum(bit[e] for e in axes) for _, axes in leaves]
+    merges = tree(masks)
+    for i, j in merges:
+        masks.append(masks[i] ^ masks[j])
+    steps: list = []
+    widest = 0
+
+    def emit(node: int) -> list[int]:
+        nonlocal widest
+        if node < len(leaves):
+            script, axes = leaves[node]
+            steps.append(script)
+        else:
+            pair = merges[node - len(leaves)]
+            first, second = sorted(pair, key=lambda k: -masks[k].bit_count())
+            a, b = emit(first), emit(second)
+            steps.append((
+                tuple(k for k, e in enumerate(a) if e in b),
+                tuple(b.index(e) for e in a if e in b),
+            ))
+            axes = [e for e in a if e not in b] + [e for e in b if e not in a]
+        widest = max(widest, len(axes))
+        return axes
+
+    if leaves:
+        emit(len(masks) - 1)
+    return _Plan(tuple(steps), widest)
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _plan(g: Graph) -> tuple[_Step, ...]:
-    """The elimination steps of g: one per degree-3 vertex, in greedy order.
+def _plan(g: Graph) -> _Plan:
+    """g's contraction tree: exact DP while g is small, the greedy rule beyond."""
+    n = sum(1 for v in g.vertex_ids if g.degrees[v] == 3)
+    return _build_plan(g, _dp_tree if n <= _DP_MAX_VERTICES else _greedy_tree)
 
-    The next vertex is the one that leaves the fewest open edges on the
-    frontier, ties broken by vertex id.  An edge stays open until every
-    degree-3 endpoint has been processed; edges whose only degree-3 endpoint
-    is the vertex itself (pendants, loops) are summed out in its script.
+
+def _eliminate(g: Graph, ind: np.ndarray, limit: int | None = None) -> int | None:
+    """Contract g's network, one copy of ind per degree-3 vertex, by its plan.
+
+    With a limit, returns None as soon as a contraction's largest entry
+    reaches it.
     """
-    owners: dict[int, set[int]] = {}
-    for e, u, w in g.edge_list:
-        owners[e] = {x for x in (u, w) if g.degrees[x] == 3}
-
-    def open_axes(v: int) -> list[int]:
-        return [e for e in g.incident_edges(v) if owners[e] != {v}]
-
-    def vertex_script(v: int) -> str:
-        # slot letters repeat for a loop (diagonal)
-        slots = g.slots(v)
-        letter = {e: "abc"[i] for i, e in enumerate(dict.fromkeys(slots))}
-        return (
-            "".join(letter[e] for e in slots)
-            + "->"
-            + "".join(letter[e] for e in open_axes(v))
-        )
-
-    remaining = [v for v in sorted(g.vertex_ids) if g.degrees[v] == 3]
-    frontier_axes: list[int] = []
-    processed: set[int] = set()
-
-    def frontier_growth(v: int) -> int:
-        new = set(frontier_axes) | set(open_axes(v))
-        return sum(1 for e in new if not owners[e] <= processed | {v})
-
-    steps: list[_Step] = []
-    while remaining:
-        best = min(remaining, key=lambda v: (frontier_growth(v), v))
-        remaining.remove(best)
-        axes = open_axes(best)
-        processed.add(best)
-        # an edge on both sides has both endpoints processed now: it closes
-        shared = (
-            tuple(k for k, e in enumerate(frontier_axes) if e in axes),
-            tuple(axes.index(e) for e in frontier_axes if e in axes),
-        )
-        steps.append((vertex_script(best), shared))
-        frontier_axes = [e for e in frontier_axes if e not in axes] + [
-            e for e in axes if e not in frontier_axes
-        ]
-
-    if frontier_axes:
-        raise AssertionError("unclosed axes after processing all vertices")
-    return tuple(steps)
-
-
-def _eliminate(g: Graph, ind: np.ndarray) -> int:
-    """Contract g's network, one copy of ind per degree-3 vertex, by its plan."""
-    frontier = np.ones((), dtype=ind.dtype)
-    for script, shared in _plan(g):
-        frontier = _contract(frontier, np.einsum(script, ind), shared)
-    return int(frontier)
+    stack: list[np.ndarray] = []
+    for step in _plan(g).steps:
+        if isinstance(step, str):
+            stack.append(np.einsum(step, ind))
+            continue
+        second = stack.pop()
+        out = _contract(stack.pop(), second, step)
+        if limit is not None and out.max() >= limit:
+            return None
+        stack.append(out)
+    return int(stack.pop()) if stack else 1
 
 
 def count_elimination(
     g: Graph, t, kind: str = "membership", strict: bool = False
 ) -> int:
-    """Count lattice points of the t-th dilate by vertex-by-vertex contraction.
+    """Count lattice points of the t-th dilate by contracting g's network.
 
     kind="membership" counts the graph polytope; kind="reflexive" counts the
     dilates of the reflexive candidate (variables range over [-t, t]).
     strict=True counts strict interiors.  Works for any graph accepted by
     validate_13, including graphs with loops, parallel edges and cycles.
 
-    Each step is one tensor contraction run by BLAS in float64, which is
-    exact here: a frontier entry counts the assignments of the edges closed
-    so far, so it is a nonnegative integer of at most len(vals)**m, and every
-    partial sum of nonnegative products is bounded by its final entry.  While
-    len(vals)**m < 2**53 every intermediate value is therefore an integer
-    that float64 represents exactly.  From 2**53 up to the int64 limit the
-    same contraction runs on int64 arrays; beyond it the count is refused.
+    Each step of the plan is one tensor contraction run by BLAS in float64.
+    An entry counts the assignments of the edges summed so far, so it is a
+    nonnegative integer of at most len(vals)**m, and so is every partial sum
+    of nonnegative products inside it.  While len(vals)**m < 2**53 float64
+    is therefore exact.  Beyond, the same contraction runs and each step's
+    largest entry is checked: rounding is monotone, so a sum whose exact value
+    reaches 2**53 is computed as at least 2**53, and a plan whose every step
+    stays below it was exact throughout.  Otherwise the contraction reruns on
+    int64 arrays while len(vals)**m < 2**62, and the count is refused beyond.
+    A plan whose widest tensor would exceed _TENSOR_BUDGET bytes is refused
+    before anything is allocated.
     """
     validate_13(g)
     if kind not in KINDS:
         raise GraphError(f"unknown system kind {kind!r}")
     p, q, lo, hi = _dilation(t, KINDS[kind][1])
-    bound = (hi - lo + 1) ** len(g.edges)
-    if bound >= _INT64_LIMIT:
-        raise GraphError("count too large for int64 contraction")
-    dtype = np.float64 if bound < 2**53 else np.int64
+    n_vals = hi - lo + 1
+    _check_budget(n_vals, max(3, _plan(g).widest))
+    bound = n_vals ** len(g.edges)
     vals = np.arange(lo, hi + 1, dtype=np.int64)
-    return _eliminate(g, _slot_indicator(vals, p, q, kind, strict, dtype))
+    ind = _slot_indicator(vals, p, q, kind, strict, np.float64)
+    count = _eliminate(g, ind, _FLOAT_EXACT if bound >= _FLOAT_EXACT else None)
+    if count is not None:
+        return count
+    if bound >= _INT64_LIMIT:
+        raise GraphError(
+            "count too large: a float64 step reached 2**53 and int64 could overflow"
+        )
+    return _eliminate(g, ind.astype(np.int64))
 
 
 def count_points(g: Graph, t, method: str = "auto") -> int:

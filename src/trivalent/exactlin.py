@@ -21,10 +21,6 @@ def matvec(a: IntMatrix, v: Sequence) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def vecmat(v: Sequence[int], a: IntMatrix) -> tuple[int, ...]:
-    return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0])))
-
-
 def divide_gcd(vec: Sequence[int]) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries; signs are kept."""
     g = gcd(*vec)

@@ -9,6 +9,7 @@ import pytest
 
 import trivalent
 from trivalent.cli import main
+from trivalent.ehrhart import zagier_polynomial
 
 THETA_TEXT = "v 2\ne 1 1 2\ne 2 1 2\ne 3 1 2\n"
 
@@ -154,6 +155,16 @@ def test_ehrhart_qp(capsys):
     assert payload["constituents"][1] == [[1, 4], [11, 24], [1, 4], [1, 24]]
 
 
+def test_ehrhart_qp_k33_equals_prism(capsys):
+    # one class, two graphs: K3,3 and the prism share one quasi-polynomial,
+    # whose odd constituents are the trigonometric count's polynomial
+    graphs = Path(__file__).resolve().parent.parent / "demos" / "graphs"
+    k33 = run_json(capsys, "ehrhart", "qp", str(graphs / "k33.g"))
+    assert k33 == run_json(capsys, "ehrhart", "qp", str(graphs / "prism.g"))
+    zagier = [[c.numerator, c.denominator] for c in zagier_polynomial(6)]
+    assert [k33["constituents"][r % k33["period"]] for r in (1, 3)] == [zagier] * 2
+
+
 def test_ehrhart_verlinde(capsys):
     payload = run_json(capsys, "ehrhart", "verlinde", "-n", "4", "-t", "5")
     assert payload["count"] == 98
@@ -237,7 +248,8 @@ def test_python_dash_m_runs_the_cli():
 
 def test_out_of_memory_is_an_error_line():
     # t = 10**6 passes the int64 bound for the claw's three edges, but its
-    # indicator tensor would take 888 PiB, which numpy refuses at once
+    # indicator tensor would take 8 EB, past the counting routes' tensor
+    # budget, so the count is refused before anything is allocated
     result = run_module("ehrhart", "count", "claw", "-t", "1000000")
     assert result.returncode == 1
     assert result.stderr.startswith("error: ")

@@ -1,5 +1,6 @@
 """Cross-checks between the three lattice-point counting routes."""
 import string
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -18,11 +19,17 @@ from trivalent.catalog import (
     tree_spider_four,
     tree_two_internal,
 )
+import trivalent.counting as counting
 from trivalent.counting import (
     _INDICATOR_CACHE_MAX,
+    _SLAB_MIN_ENTRIES,
+    _TENSOR_BUDGET,
+    _build_plan,
     _contract,
     _dilation,
+    _dp_tree,
     _eliminate,
+    _greedy_tree,
     _plan,
     _shared_indicator,
     _slot_indicator,
@@ -50,6 +57,15 @@ def k33():
     return make_graph(
         [(3 * (i - 1) + (j - 3), i, j) for i in (1, 2, 3) for j in (4, 5, 6)]
     )
+
+
+def k_prism(k):
+    """The k-prism: two k-cycles joined by k rungs (cubic, 3k edges)."""
+    edges = []
+    for r in range(1, k + 1):
+        nxt = r % k + 1
+        edges += [(3 * r - 2, r, nxt), (3 * r - 1, r + k, nxt + k), (3 * r, r, r + k)]
+    return make_graph(edges)
 
 
 def test_claw_small_values():
@@ -161,7 +177,8 @@ def test_elimination_matches_backtracking_on_cycles(g, t):
 
 @pytest.mark.parametrize("t", [57, 59])
 def test_elimination_at_the_float64_boundary(t):
-    # 58**9 < 2**53 <= 60**9: t = 57 contracts in float64, t = 59 in int64
+    # 58**9 < 2**53 <= 60**9: t = 57 is exact in float64 by the a-priori
+    # bound, t = 59 by the check of every step's largest entry
     assert (58**9 < 2**53) and (60**9 >= 2**53)
     assert count_elimination(prism(), t) == verlinde_count(6, t)
 
@@ -172,6 +189,49 @@ def test_huge_dilation_is_refused_before_allocating(count):
     # would need 8 PB, so the bound must be checked on the length alone
     with pytest.raises(GraphError, match="count too large"):
         count(claw(), 10**15)
+
+
+@pytest.mark.parametrize("k,n", [(8, 16), (10, 20)], ids=["8-prism", "10-prism"])
+@pytest.mark.parametrize("t", [5, 7, 9])
+def test_large_prisms_exact_past_the_bound(k, n, t):
+    # (t+1)**(3k) is past 2**62, but every step's largest entry stays below
+    # 2**53, so the float64 contraction is exact
+    assert (t + 1) ** (3 * k) >= 2**62
+    assert count_elimination(k_prism(k), t) == verlinde_count(n, t)
+
+
+def test_inexact_float_count_is_refused():
+    # the 10-prism at t = 11 has a step entry above 2**53 (plain float64 is
+    # off by 39 there) and its bound 12**30 is past int64
+    with pytest.raises(GraphError, match="count too large"):
+        count_elimination(k_prism(10), 11)
+
+
+def test_inexact_float_count_reruns_in_int64(monkeypatch):
+    # with the float64 limit lowered, the prism's steps fail the check and the
+    # count is made again on int64 arrays; with the int64 limit lowered too it
+    # is refused
+    monkeypatch.setattr(counting, "_FLOAT_EXACT", 2**10)
+    assert count_elimination(prism(), 9) == verlinde_count(6, 9)
+    monkeypatch.setattr(counting, "_INT64_LIMIT", 2**20)
+    with pytest.raises(GraphError, match="count too large"):
+        count_elimination(prism(), 9)
+
+
+@pytest.mark.parametrize("count", [count_elimination, count_tree_dp])
+def test_tensor_budget_is_checked_before_allocating(count):
+    # K4's widest tensor has 4 axes; the claw's only tensor is the indicator
+    g, t = (k4(), 200) if count is count_elimination else (claw(), 700)
+    rank = _plan(g).widest if count is count_elimination else 3
+    assert 8 * (t + 1) ** rank > _TENSOR_BUDGET > 8 * (t + 1) ** (rank - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="budget"):
+            count(g, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("tree", [tree_caterpillar_four(), tree_spider_four()],
@@ -189,9 +249,11 @@ def test_elimination_matches_tree_dp_on_nine_edges(tree):
     [
         ((), 3, []),  # first step
         ((3, 4, 5), 3, [(0, 1)]),  # grows: one call
-        ((3, 4, 5, 2), 3, [(1, 0), (3, 2)]),  # shrinks: slabs along axis 0
-        ((3, 4, 5, 6), 3, [(0, 1), (2, 0)]),  # shrinks: slabs along axis 1
+        ((3, 4, 5, 2), 3, [(1, 0), (3, 2)]),  # shrinks, small: one call
+        ((3, 4, 5, 6), 3, [(0, 1), (2, 0)]),  # shrinks, small: one call
         ((4, 5), 2, [(1, 0), (0, 1)]),  # to a scalar: one call
+        ((16, 16, 16, 16), 3, [(1, 0), (3, 2)]),  # shrinks: slabs along axis 0
+        ((16, 16, 16, 16), 3, [(0, 1), (2, 0)]),  # shrinks: slabs along axis 1
     ],
 )
 def test_contract_matches_einsum(f_shape, t_ndim, pairs):
@@ -209,6 +271,7 @@ def test_contract_matches_einsum(f_shape, t_ndim, pairs):
     out = "".join(x for x in f_sub + "".join(t_sub) if x not in summed)
     expect = np.einsum(f"{f_sub},{''.join(t_sub)}->{out}", frontier, tensor)
     shared = ([fa for fa, _ in pairs], [ta for _, ta in pairs])
+    assert (frontier.size >= _SLAB_MIN_ENTRIES) == (f_shape == (16, 16, 16, 16))
     got = _contract(frontier, tensor, shared)
     assert got.shape == expect.shape
     assert np.array_equal(got, expect)
@@ -238,19 +301,45 @@ def test_eliminate_matches_one_einsum(g):
     assert _eliminate(g, ind) == int(expect)
 
 
-def _widest_frontier(plan):
-    rank = widest = 0
-    for script, (f_shared, t_shared) in plan:
-        rank += len(script.split("->")[1]) - len(f_shared) - len(t_shared)
-        widest = max(widest, rank)
-    return widest
+# The slab path against one call per step, on a tensor that sees the wiring:
+# at 17 values per slot the widest tensors of these plans have 17**4 >=
+# _SLAB_MIN_ENTRIES entries, so their shrinking steps run in slabs.
+@pytest.mark.parametrize("g", [k4(), prism(), k33()], ids=["k4", "prism", "k33"])
+def test_slabbed_elimination_matches_one_call(g, monkeypatch):
+    assert 17 ** _plan(g).widest >= _SLAB_MIN_ENTRIES
+    rng = np.random.default_rng(17)
+    ind = rng.integers(0, 3, size=(17, 17, 17)).astype(np.float64)
+    slabbed = _eliminate(g, ind)
+    monkeypatch.setattr(counting, "_SLAB_MIN_ENTRIES", 17**6)
+    assert _eliminate(g, ind) == slabbed
 
 
 def test_plan_widest_frontier():
-    # pins the greedy order: (frontier growth, vertex id)
-    assert _widest_frontier(_plan(k4())) == 4
-    assert _widest_frontier(_plan(prism())) == 4
-    assert _widest_frontier(_plan(k33())) == 5
+    # pins the contraction tree: a linear frontier needs 5 axes on K3,3
+    assert _plan(k4()).widest == 4
+    assert _plan(prism()).widest == 4
+    assert _plan(k33()).widest == 4
+
+
+@pytest.mark.parametrize(
+    "g", [*CENSUS, k33()], ids=[*(f"census{i}" for i in range(28)), "k33"]
+)
+def test_dp_and_greedy_trees_agree(g, monkeypatch):
+    dp, greedy = _build_plan(g, _dp_tree), _build_plan(g, _greedy_tree)
+    assert dp.widest <= greedy.widest
+    rng = np.random.default_rng(len(g.edges))
+    ind = rng.integers(0, 5, size=(3, 3, 3), dtype=np.int64)
+    counts = {}
+    for name, plan in (("dp", dp), ("greedy", greedy)):
+        monkeypatch.setattr(counting, "_plan", lambda g, plan=plan: plan)
+        counts[name] = [count_elimination(g, t) for t in (0, 1, 2, 5, Fraction(7, 2))]
+        counts[name].append(_eliminate(g, ind))
+    assert counts["dp"] == counts["greedy"]
+
+
+def test_greedy_tree_on_the_ten_prism():
+    # a linear frontier needs 11 axes here
+    assert _build_plan(k_prism(10), _greedy_tree).widest <= 4
 
 
 def test_plan_cache_hits_on_equal_graph():
