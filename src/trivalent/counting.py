@@ -28,7 +28,8 @@ _SLAB_MIN_ENTRIES entries runs in slabs, which keeps its copies small;
 smaller ones run in one call.  Contractions are float64 BLAS products, exact
 while len(vals)**m < 2**53 and, beyond, whenever every step's largest entry
 stays below 2**53 (checked after the fact); otherwise the count reruns in
-int64 or is refused.  A plan whose widest tensor would exceed _TENSOR_BUDGET
+int64 or is refused.  A plan whose tensors held at once (the indicator, the
+stack, a step's result and tensordot's copies) would exceed _TENSOR_BUDGET
 bytes is refused before anything is allocated.
 
 Work that does not depend on the count is done once.  A graph's contraction
@@ -47,6 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import le
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -71,17 +73,20 @@ def _dilation(t, box: str) -> tuple[int, int, int, int]:
     return p, q, (0 if box == "nonneg" else -hi), hi
 
 
-# The most bytes one 8-byte tensor of a tensor route may take: the vals^3
-# indicator, and for count_elimination its plan's widest tensor, are checked
-# against it before anything is allocated.
+# The most bytes the 8-byte tensors of a tensor route may hold at once: the
+# vals^3 indicator, and for count_elimination every set of tensors its plan
+# holds together, are checked against it before anything is allocated.
 _TENSOR_BUDGET = 2**31
 
 
-def _check_budget(n_vals: int, rank: int) -> None:
-    if 8 * n_vals**rank > _TENSOR_BUDGET:
+def _check_budget(n_vals: int, peaks: tuple[tuple[int, ...], ...]) -> None:
+    """Refuse when some set of tensors held at once, given by their numbers
+    of axes over n_vals values, would take more than _TENSOR_BUDGET bytes."""
+    need = 8 * max(sum(n_vals**rank for rank in ranks) for ranks in peaks)
+    if need > _TENSOR_BUDGET:
         raise GraphError(
-            f"count too large for memory: a tensor of {n_vals}**{rank} 8-byte "
-            f"entries exceeds the {_TENSOR_BUDGET >> 30} GiB budget"
+            f"count too large for memory: its tensors would take {need} bytes "
+            f"at once, over the {_TENSOR_BUDGET >> 30} GiB budget"
         )
 
 
@@ -209,6 +214,12 @@ def _shared_indicator(
     return ind
 
 
+# Building the indicator holds an int64 vals^3 row sum beside the bool tensor,
+# and casting it holds the bool tensor beside the cast: at most two 8-byte
+# vals^3 tensors at once.
+_INDICATOR_PEAK = (3, 3)
+
+
 # -- tree dynamic programming -------------------------------------------------
 
 
@@ -225,7 +236,7 @@ def count_tree_dp(g: Graph, t) -> int:
     p, q, lo, hi = _dilation(t, KINDS["membership"][1])
     if (hi - lo + 1) ** len(g.edges) >= _INT64_LIMIT:
         raise GraphError("count too large for int64 message passing")
-    _check_budget(hi - lo + 1, 3)
+    _check_budget(hi - lo + 1, (_INDICATOR_PEAK,))
     vals = np.arange(lo, hi + 1, dtype=np.int64)
     ind = _slot_indicator(vals, p, q, "membership", False, np.int64)
     internal = [v for v in sorted(g.vertex_ids) if g.degrees[v] == 3]
@@ -318,13 +329,16 @@ _Merges = list[tuple[int, int]]
 
 
 class _Plan(NamedTuple):
-    """A contraction tree in postorder, and the most axes any of its tensors
-    has.  A str step pushes one degree-3 vertex's tensor (an einsum script on
-    the slot indicator); a pair (first axes, second axes) pops two tensors and
-    pushes their _contract over those paired axes."""
+    """A contraction tree in postorder, the most axes any of its tensors has,
+    and the sets of tensors a run may hold at once that can be the largest,
+    each as its tensors' numbers of axes (the indicator included).  A str step pushes one degree-3
+    vertex's tensor (an einsum script on the slot indicator); a pair (first
+    axes, second axes) pops two tensors and pushes their _contract over those
+    paired axes."""
 
     steps: tuple[str | tuple[tuple[int, ...], tuple[int, ...]], ...]
     widest: int
+    peaks: tuple[tuple[int, ...], ...]
 
 
 def _leaves(g: Graph) -> list[tuple[str, list[int]]]:
@@ -425,7 +439,10 @@ def _build_plan(g: Graph, tree: Callable[[list[int]], _Merges]) -> _Plan:
     """Compile the tree that ``tree`` (_dp_tree or _greedy_tree) finds for g.
 
     Of each merge, the child with more axes is computed first and becomes
-    _contract's first operand, the one it slabs.
+    _contract's first operand, the one it slabs.  While a contraction runs,
+    the run holds the indicator, the stack (both operands included) and the
+    result, and tensordot may copy each operand; a slabbed step also holds
+    one slab's product.  Those sets of tensors are the plan's peaks.
     """
     leaves = _leaves(g)
     bit = {e: 1 << k for k, e in enumerate(g.edges)}
@@ -435,12 +452,15 @@ def _build_plan(g: Graph, tree: Callable[[list[int]], _Merges]) -> _Plan:
         masks.append(masks[i] ^ masks[j])
     steps: list = []
     widest = 0
+    held = [3]  # the float64 indicator, then the stack
+    peaks = {_INDICATOR_PEAK}
 
     def emit(node: int) -> list[int]:
         nonlocal widest
         if node < len(leaves):
             script, axes = leaves[node]
             steps.append(script)
+            peaks.add((*held, len(axes)))
         else:
             pair = merges[node - len(leaves)]
             first, second = sorted(pair, key=lambda k: -masks[k].bit_count())
@@ -450,17 +470,31 @@ def _build_plan(g: Graph, tree: Callable[[list[int]], _Merges]) -> _Plan:
                 tuple(b.index(e) for e in a if e in b),
             ))
             axes = [e for e in a if e not in b] + [e for e in b if e not in a]
+            peaks.add((*held, len(a), len(b), len(axes), len(axes)))
+            del held[-2:]
+        held.append(len(axes))
         widest = max(widest, len(axes))
         return axes
 
     if leaves:
         emit(len(masks) - 1)
-    return _Plan(tuple(steps), widest)
+    # a set no larger, axis for axis, than another set is never the peak
+    peaks = {tuple(sorted(p, reverse=True)) for p in peaks}
+    peaks = {
+        p for p in peaks
+        if not any(p != q and len(p) <= len(q) and all(map(le, p, q)) for q in peaks)
+    }
+    return _Plan(tuple(steps), widest, tuple(sorted(peaks)))
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _plan(g: Graph) -> _Plan:
-    """g's contraction tree: exact DP while g is small, the greedy rule beyond."""
+    """g's contraction tree: exact DP while g is small, the greedy rule beyond.
+
+    On the benchmark's cubic graphs both give the same widest intermediate
+    and nearly the same flops, yet the DP's trees run faster: the prism's
+    quasi-polynomial takes 0.66 s against 0.91 s (BENCH_13.json).
+    """
     n = sum(1 for v in g.vertex_ids if g.degrees[v] == 3)
     return _build_plan(g, _dp_tree if n <= _DP_MAX_VERTICES else _greedy_tree)
 
@@ -503,15 +537,15 @@ def count_elimination(
     reaches 2**53 is computed as at least 2**53, and a plan whose every step
     stays below it was exact throughout.  Otherwise the contraction reruns on
     int64 arrays while len(vals)**m < 2**62, and the count is refused beyond.
-    A plan whose widest tensor would exceed _TENSOR_BUDGET bytes is refused
-    before anything is allocated.
+    A plan whose tensors held at once would exceed _TENSOR_BUDGET bytes is
+    refused before anything is allocated.
     """
     validate_13(g)
     if kind not in KINDS:
         raise GraphError(f"unknown system kind {kind!r}")
     p, q, lo, hi = _dilation(t, KINDS[kind][1])
     n_vals = hi - lo + 1
-    _check_budget(n_vals, max(3, _plan(g).widest))
+    _check_budget(n_vals, _plan(g).peaks)
     bound = n_vals ** len(g.edges)
     vals = np.arange(lo, hi + 1, dtype=np.int64)
     ind = _slot_indicator(vals, p, q, kind, strict, np.float64)
@@ -522,7 +556,8 @@ def count_elimination(
         raise GraphError(
             "count too large: a float64 step reached 2**53 and int64 could overflow"
         )
-    return _eliminate(g, ind.astype(np.int64))
+    ind = ind.astype(np.int64)
+    return _eliminate(g, ind)
 
 
 def count_points(g: Graph, t, method: str = "auto") -> int:

@@ -25,6 +25,7 @@ from trivalent.counting import (
     _SLAB_MIN_ENTRIES,
     _TENSOR_BUDGET,
     _build_plan,
+    _check_budget,
     _contract,
     _dilation,
     _dp_tree,
@@ -234,7 +235,46 @@ def test_tensor_budget_is_checked_before_allocating(count):
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("tree", [tree_caterpillar_four(), tree_spider_four()],
+def test_tensor_budget_counts_the_tensors_held_at_once(monkeypatch):
+    # K3,3's widest tensor alone takes exactly the budget at 128 values, but a
+    # run holds it beside the indicator, the stack and tensordot's copies; the
+    # count itself is refused under a budget scaled down to 32 values, so a
+    # guard that checked the widest tensor only would run it, not ask for GBs
+    g = k33()
+    assert 8 * 128 ** _plan(g).widest == _TENSOR_BUDGET
+    with pytest.raises(GraphError, match="budget"):
+        _check_budget(128, _plan(g).peaks)
+    monkeypatch.setattr(counting, "_TENSOR_BUDGET", 8 * 32 ** _plan(g).widest)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="budget"):
+            count_elimination(g, 31)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("g", [k4(), prism(), k33()], ids=["k4", "prism", "k33"])
+def test_plan_peaks_bound_the_traced_memory(g):
+    # at t = 47 the widest shrinking steps run in slabs and the indicator is
+    # built per call, so each kind of allocation is traced; K3,3 holds five
+    # 4-axis tensors at once (both operands of a growing step, their copies
+    # and its result), where its widest tensor alone is one
+    t = 47
+    assert (t + 1) ** 3 > _INDICATOR_CACHE_MAX
+    bound = 8 * max(sum((t + 1) ** r for r in ranks) for ranks in _plan(g).peaks)
+    tracemalloc.start()
+    try:
+        count = count_elimination(g, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == verlinde_count(len(g.vertex_ids), t)
+    assert 8 * (t + 1) ** _plan(g).widest < peak <= bound
+
+
+@pytest.mark.parametrize("tree",[tree_caterpillar_four(), tree_spider_four()],
                          ids=["caterpillar", "spider"])
 def test_elimination_matches_tree_dp_on_nine_edges(tree):
     assert count_elimination(tree, 43) == count_tree_dp(tree, 43)
