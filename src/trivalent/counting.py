@@ -1,17 +1,17 @@
 """Exact lattice-point counting for graph inequality systems.
 
-Three independent routes:
+One tensor route and its oracle:
 
+* count_elimination -- contraction of the graph's tensor network for any
+  graph that passes validate_13 (cycles allowed); needed where backtracking
+  is hopeless, e.g. quasi-polynomial extraction at t around 35.
+  count_tree_dp is its entry point for {1,3}-trees, on which contracting
+  leaves first is message passing.
 * count_backtracking -- pure-Python depth-first search with per-row interval
   pruning (the search iter_lattice_points expands into points).  Slow but
-  straightforward; serves as the reference oracle.
-* count_tree_dp -- message passing along a tree with all degrees in {1, 3};
-  O(n * t^3) via int64 tensor contractions.
-* count_elimination -- contraction of the graph's tensor network for
-  arbitrary graphs that pass validate_13 (cycles allowed); needed where
-  backtracking is hopeless, e.g. quasi-polynomial extraction at t around 35.
+  straightforward; serves as the independent reference oracle.
 
-The tensor routes evaluate the rows of polytope.KINDS on one vertex's slot
+The tensor route evaluates the rows of polytope.KINDS on one vertex's slot
 values.  Rational dilation parameters are handled exactly by clearing
 denominators; all comparisons happen in integers.
 
@@ -37,7 +37,7 @@ plan (the tree in postorder, one einsum script per vertex, paired axes per
 contraction) depends only on the graph, so _plan is cached per exact Graph.
 The vals^3 slot indicator depends only on the dilation, kind and strictness,
 so every graph shares one read-only bool tensor per (lo, hi, p, q, kind,
-strict); each call casts it to the dtype it needs.  That cache holds up to
+strict); each call takes a float64 copy.  That cache holds up to
 _INDICATOR_CACHE_SIZE tensors of at most _INDICATOR_CACHE_MAX bytes each
 (at most 8 MiB, and far less in practice: a full quasi-polynomial sweep of a
 9-edge graph holds about 0.7 MB); larger tensors are built per call, so a big
@@ -56,7 +56,7 @@ import numpy as np
 from .graphs import Graph, GraphError, validate_13
 from .polytope import KINDS, SIGN_PATTERNS, InequalitySystem, inequality_system
 
-# Bounds of exact float64 arithmetic and of the int64 routes: every tensor
+# Bounds of exact float64 arithmetic and of the int64 rerun: every tensor
 # entry counts at most len(vals)**m assignments.
 _FLOAT_EXACT = 2**53
 _INT64_LIMIT = 2**62
@@ -73,9 +73,9 @@ def _dilation(t, box: str) -> tuple[int, int, int, int]:
     return p, q, (0 if box == "nonneg" else -hi), hi
 
 
-# The most bytes the 8-byte tensors of a tensor route may hold at once: the
-# vals^3 indicator, and for count_elimination every set of tensors its plan
-# holds together, are checked against it before anything is allocated.
+# The most bytes the 8-byte tensors of count_elimination may hold at once:
+# every set of tensors its plan holds together, the vals^3 indicator
+# included, is checked against it before anything is allocated.
 _TENSOR_BUDGET = 2**31
 
 
@@ -175,19 +175,19 @@ _INDICATOR_CACHE_MAX = 2**16
 
 
 def _slot_indicator(
-    vals: np.ndarray, p: int, q: int, kind: str, strict: bool, dtype
+    vals: np.ndarray, p: int, q: int, kind: str, strict: bool
 ) -> np.ndarray:
     """0/1 tensor over vals^3: the rows of KINDS[kind] for one vertex, on its
     three slot values, at the dilation p/q.  vals is the range lo..hi.
 
     A vertex whose slots repeat an edge (a loop) takes the diagonal of this
     tensor, so one tensor serves every degree-3 vertex of a graph.  Each call
-    returns a fresh array of the given dtype.
+    returns a fresh float64 array.
     """
     key = (int(vals[0]), int(vals[-1]), p, q, kind, strict)
     if len(vals) ** 3 > _INDICATOR_CACHE_MAX:
-        return _bool_indicator(*key).astype(dtype)
-    return _shared_indicator(*key).astype(dtype)
+        return _bool_indicator(*key).astype(np.float64)
+    return _shared_indicator(*key).astype(np.float64)
 
 
 def _bool_indicator(
@@ -218,57 +218,6 @@ def _shared_indicator(
 # and casting it holds the bool tensor beside the cast: at most two 8-byte
 # vals^3 tensors at once.
 _INDICATOR_PEAK = (3, 3)
-
-
-# -- tree dynamic programming -------------------------------------------------
-
-
-def count_tree_dp(g: Graph, t) -> int:
-    """Exact count for a {1,3}-tree by message passing toward a root vertex.
-
-    Each edge e carries a table M_e[x] = number of valid assignments of the
-    subtree hanging below e when e takes value x; an internal vertex combines
-    its two child tables through the local indicator tensor.
-    """
-    validate_13(g)
-    if not g.is_tree():
-        raise GraphError("count_tree_dp expects a tree")
-    p, q, lo, hi = _dilation(t, KINDS["membership"][1])
-    if (hi - lo + 1) ** len(g.edges) >= _INT64_LIMIT:
-        raise GraphError("count too large for int64 message passing")
-    _check_budget(hi - lo + 1, (_INDICATOR_PEAK,))
-    vals = np.arange(lo, hi + 1, dtype=np.int64)
-    ind = _slot_indicator(vals, p, q, "membership", False, np.int64)
-    internal = [v for v in sorted(g.vertex_ids) if g.degrees[v] == 3]
-    root = internal[0]
-
-    order: list[tuple[int, int | None]] = []
-    stack: list[tuple[int, int | None]] = [(root, None)]
-    while stack:
-        v, pe = stack.pop()
-        order.append((v, pe))
-        for e in g.slots(v):
-            if e == pe:
-                continue
-            w = g.other_end(e, v)
-            if g.degrees[w] == 3:
-                stack.append((w, e))
-
-    up: dict[int, np.ndarray] = {}
-    ones = np.ones(len(vals), dtype=np.int64)
-
-    def child_table(v: int, e: int) -> np.ndarray:
-        w = g.other_end(e, v)
-        return ones if g.degrees[w] == 1 else up[e]
-
-    for v, pe in reversed(order):
-        children = [e for e in g.slots(v) if e != pe]
-        tables = [child_table(v, e) for e in children]
-        if pe is None:
-            total = np.einsum("ijk,i,j,k->", ind, *tables)
-            return int(total)
-        up[pe] = np.einsum("pij,i,j->p", ind, *tables)
-    raise AssertionError("unreachable")
 
 
 # -- contraction-tree elimination for general graphs ---------------------------
@@ -548,7 +497,7 @@ def count_elimination(
     _check_budget(n_vals, _plan(g).peaks)
     bound = n_vals ** len(g.edges)
     vals = np.arange(lo, hi + 1, dtype=np.int64)
-    ind = _slot_indicator(vals, p, q, kind, strict, np.float64)
+    ind = _slot_indicator(vals, p, q, kind, strict)
     count = _eliminate(g, ind, _FLOAT_EXACT if bound >= _FLOAT_EXACT else None)
     if count is not None:
         return count
@@ -558,6 +507,15 @@ def count_elimination(
         )
     ind = ind.astype(np.int64)
     return _eliminate(g, ind)
+
+
+def count_tree_dp(g: Graph, t) -> int:
+    """Exact count for a {1,3}-tree: count_elimination, once g is known to be
+    one."""
+    validate_13(g)
+    if not g.is_tree():
+        raise GraphError("count_tree_dp expects a tree")
+    return count_elimination(g, t)
 
 
 def count_points(g: Graph, t, method: str = "auto") -> int:

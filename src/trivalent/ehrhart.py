@@ -138,20 +138,25 @@ def _require_cubic(g: Graph) -> int:
     return n
 
 
-def verlinde_count(n: int, t: int, precision: int | None = None) -> int:
+# Bits of the first interval evaluation in verlinde_count; each failed
+# certificate doubles them.
+_START_PRECISION = 80
+
+
+def verlinde_count(n: int, t: int) -> int:
     """Certified integer value of the trigonometric sum
 
         (t+2)^(n/2) / 2^(n+1) * sum_{j=1}^{t+1} (sin(pi j/(t+2)))^(-n)
 
     for even n >= 2 and odd t >= 1.  Evaluated in interval arithmetic with
     escalating precision until the enclosure pins a unique integer within an
-    error of 1/4, starting from `precision` bits (80 by default).
+    error of 1/4, starting from _START_PRECISION bits.
     """
     if n < 2 or n % 2:
         raise GraphError("n must be an even integer >= 2")
     if t < 1 or t % 2 == 0:
         raise GraphError("t must be an odd positive integer")
-    prec = max(precision or 80, 20)
+    prec = _START_PRECISION
     # private contexts, so the shared mpmath.iv and mpmath.mp precisions are
     # never touched
     iv = mpmath.ctx_iv.MPIntervalContext()

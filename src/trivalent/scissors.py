@@ -16,14 +16,12 @@ integer witness point that lands in exactly one child per move, constraint
 bookkeeping catches duplicated or contradicted half-spaces, and for the rest
 a float LP proposes either an interior point or a Farkas combination.  Every
 row is homogeneous, so any positive multiple of either is again a
-certificate: the proposal is scaled to a nonnegative integer vector (by
-lcm(1..16) where its entries are that close to small-denominator rationals,
-by continued fractions otherwise) and validated in integer arithmetic, with
-the exact simplex as the fallback.  The float proposals are batched: the
-children of a group of pieces share one 3-D exchange tableau (the
-right-hand side and the nonbasic columns only), solved in one pass, while
-every certificate is still validated on its own, in integers, and the pieces
-come out in the same order.
+certificate: the proposal is scaled by lcm(1..16), rounded to a nonnegative
+integer vector and validated in integer arithmetic, with the exact simplex
+as the fallback.  The float proposals are batched: the children of a group
+of pieces share one 3-D exchange tableau (the right-hand side and the
+nonbasic columns only), solved in one pass, while every certificate is still
+validated on its own, in integers, and the pieces come out in the same order.
 """
 from __future__ import annotations
 
@@ -230,19 +228,9 @@ def _float_lps(
 
 
 _ZERO_TOL = 1e-12
-_DENOMINATOR_LIMIT = 10**6
-_ZERO = Fraction(0)
 # lcm(1, ..., 16): the rationals the float proposals approximate have small
 # denominators, so scaling by this turns most of them into integers
 _SCALE = 720720
-
-
-def _round(values: Iterable[float]) -> list[Fraction]:
-    """Nearby nonnegative rationals; entries at or below _ZERO_TOL become 0."""
-    return [
-        Fraction(v).limit_denominator(_DENOMINATOR_LIMIT) if v > _ZERO_TOL else _ZERO
-        for v in values
-    ]
 
 
 def _clear_denominators(values: Sequence[Fraction]) -> tuple[int, ...]:
@@ -254,18 +242,16 @@ def _clear_denominators(values: Sequence[Fraction]) -> tuple[int, ...]:
 def _rays(
     proposals: Sequence[tuple[float, list[float], list[float]] | None],
 ) -> list[tuple[bool, tuple[int, ...]] | None]:
-    """What each float proposal offers as a certificate, as (is_point, the
-    primitive integer vector on the ray of _round's rationals); None stays None.
+    """What each float proposal offers as a certificate, as (is_point, a
+    primitive nonnegative integer vector); None stays None.
 
     A proposal offers its point where eps > 1e-7 and its Farkas multipliers
-    otherwise.  All proposals are scaled by _SCALE at once: an entry v goes to
-    k = rint(v * _SCALE) when, in floats, v is within a quarter of
-    1/(q * _DENOMINATOR_LIMIT) of k/_SCALE = p/q in lowest terms; with k <=
-    2**30 the rounding error keeps the exact distance under half of that.
-    Two distinct fractions with denominators q and at most
-    _DENOMINATOR_LIMIT lie at least 1/(q * _DENOMINATOR_LIMIT) apart, so p/q
-    is the closest to v, which is what _round returns, and both vectors lie
-    on one ray.  A vector with any other entry goes through _round itself.
+    otherwise.  All proposals are scaled by _SCALE at once: entries at or
+    below _ZERO_TOL become 0, the rest are rounded to integers, and each row
+    is divided by its gcd.  A row with a NaN or with an entry too large to
+    scale exactly becomes the zero vector, which _validate rejects.  Either
+    way the vector is only a proposal: _validate checks it in integers, and
+    the exact simplex decides whatever fails that check.
     """
     offered = [
         (True, p[1]) if p[0] > 1e-7 else (False, p[2]) for p in proposals if p is not None
@@ -276,20 +262,17 @@ def _rays(
     )
     values[values <= _ZERO_TOL] = 0.0
     scaled = values * _SCALE
-    # NaN and entries too large to scale exactly fail the tolerance test below
-    k = np.where(scaled <= 2**30, np.rint(scaled), 0.0).astype(np.int64)
-    q = _SCALE // np.gcd(k, _SCALE)
-    near = (np.abs(scaled - k) * q <= _SCALE / (4 * _DENOMINATOR_LIMIT)).all(axis=1)
+    fits = (scaled <= 2**30).all(axis=1)  # False on NaN
+    k = np.rint(np.where(fits[:, None], scaled, 0.0)).astype(np.int64)
     k //= np.maximum(np.gcd.reduce(k, axis=1), 1)[:, None]
-    scaled_rows = iter(zip(offered, k.tolist(), near.tolist()))
+    rows = iter(zip(offered, k.tolist()))
     out: list[tuple[bool, tuple[int, ...]] | None] = []
     for p in proposals:
         if p is None:
             out.append(None)
             continue
-        (is_point, vec), ints, fast = next(scaled_rows)
-        ray = tuple(ints[: len(vec)]) if fast else _clear_denominators(_round(vec))
-        out.append((is_point, ray))
+        (is_point, vec), ints = next(rows)
+        out.append((is_point, tuple(ints[: len(vec)])))
     return out
 
 

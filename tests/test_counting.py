@@ -1,7 +1,9 @@
-"""Cross-checks between the three lattice-point counting routes."""
+"""Cross-checks between the tensor counting route and the backtracking oracle."""
+import json
 import string
 import tracemalloc
 from fractions import Fraction
+from importlib.resources import files
 from itertools import product
 
 import numpy as np
@@ -274,10 +276,15 @@ def test_plan_peaks_bound_the_traced_memory(g):
     assert 8 * (t + 1) ** _plan(g).widest < peak <= bound
 
 
-@pytest.mark.parametrize("tree",[tree_caterpillar_four(), tree_spider_four()],
+@pytest.mark.parametrize("tree", [tree_caterpillar_four(), tree_spider_four()],
                          ids=["caterpillar", "spider"])
-def test_elimination_matches_tree_dp_on_nine_edges(tree):
-    assert count_elimination(tree, 43) == count_tree_dp(tree, 43)
+def test_nine_edge_trees_match_the_tree_table(tree):
+    # the bundled table's odd row, evaluated far past the dilations it was
+    # interpolated from
+    table = json.loads(files("trivalent").joinpath("data/tree_table.json").read_text())
+    t = 43
+    expect = sum(Fraction(n, d) * t**k for k, (n, d) in enumerate(table["9"]["odd"]))
+    assert count_points(tree, t) == expect
 
 
 
@@ -423,7 +430,7 @@ def test_slot_indicator_matches_reference(t, kind, strict):
     expect = _reference_indicator(t, kind, strict)
     _shared_indicator.cache_clear()
     for _ in range(2):  # cold, then from the cache
-        ind = _slot_indicator(vals, p, q, kind, strict, np.float64)
+        ind = _slot_indicator(vals, p, q, kind, strict)
         assert ind.dtype == np.float64
         assert np.array_equal(ind, expect)
         ind[...] = 7  # each call gets its own copy
@@ -440,6 +447,6 @@ def test_large_indicator_is_not_cached():
     assert (t + 1) ** 3 > _INDICATOR_CACHE_MAX
     before = _shared_indicator.cache_info()
     vals = np.arange(0, t + 1, dtype=np.int64)
-    ind = _slot_indicator(vals, t, 1, "membership", False, np.int64)
-    assert ind.shape == (t + 1,) * 3
+    ind = _slot_indicator(vals, t, 1, "membership", False)
+    assert ind.shape == (t + 1,) * 3 and ind.dtype == np.float64
     assert _shared_indicator.cache_info() == before

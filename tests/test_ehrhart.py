@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from trivalent import ehrhart
 from trivalent.catalog import (
     claw,
     connected_13_classes,
@@ -128,12 +129,13 @@ def test_verlinde_frozen_values(n, t, expected):
     assert verlinde_count(n, t) == expected
 
 
-def test_verlinde_leaves_shared_precision_alone():
+def test_verlinde_leaves_shared_precision_alone(monkeypatch):
     saved = mpmath.iv.prec
     try:
         mpmath.iv.prec = 37
         # a start of 20 bits escalates before it certifies
-        assert verlinde_count(6, 23, precision=20) == 64146875
+        monkeypatch.setattr(ehrhart, "_START_PRECISION", 20)
+        assert verlinde_count(6, 23) == 64146875
         assert verlinde_count(4, 5) == 98
         assert mpmath.iv.prec == 37
     finally:

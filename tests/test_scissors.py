@@ -252,42 +252,44 @@ def test_certify_falls_back_to_exact_simplex(monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("den, fallbacks", [(13, 0), (17, 1)])
-def test_certify_scales_or_falls_back_to_continued_fractions(monkeypatch, den, fallbacks):
-    # (3, 2, 2) / den lies in NONEMPTY; 13 divides the scale, 17 does not
+@pytest.mark.parametrize("den", [13, 17])
+def test_certify_scales_the_float_point(monkeypatch, den):
+    # (3, 2, 2) / den lies in NONEMPTY; 13 divides the scale, so the point
+    # scales back to (3, 2, 2), and 17 does not, so it rounds to another
+    # integer point of the cone; neither needs the exact simplex
     x = [3 / den, 2 / den, 2 / den]
     monkeypatch.setattr(scissors, "_float_lps", lambda problems, m: [(0.5, x, [0.0])])
     monkeypatch.setattr(scissors, "max_epsilon", _no_simplex)
-    calls = []
-    rounded = scissors._round
+    cone = scissors._cone_rows(theta())
+    [point] = scissors._certify([NONEMPTY], cone, 3)
+    assert _satisfies(NONEMPTY, cone, point)
+    assert (point == (3, 2, 2)) == (den == 13)
 
-    def spy(values):
-        calls.append(values)
-        return rounded(values)
 
-    monkeypatch.setattr(scissors, "_round", spy)
-    assert scissors._certify([NONEMPTY], scissors._cone_rows(theta()), 3) == [(3, 2, 2)]
-    assert len(calls) == fallbacks
+RAY_CASES = [
+    ([3 / 13, 2 / 13, 0.0], (3, 2, 0)),  # the denominator divides the scale
+    ([3 / 17, 2 / 17, 2 / 17], (127186, 84791, 84791)),  # it does not
+    ([0.5 + 1e-6, 0.25, 0.0], (360361, 180180, 0)),  # over half a scale step from 1/2
+    ([1 + 6e-7, 0.5, 0.0], (2, 1, 0)),  # under half a scale step from 1
+    ([1 / 720720 + 1e-12, 1.0, 0.0], (1, 720720, 0)),  # the finest fraction the scale holds
+    ([1e-11, -0.5, 0.75], (0, 0, 1)),  # tiny and negative entries
+    ([float("nan"), 0.5, 0.5], (0, 0, 0)),
+    ([3000.25, 1.0, 0.0], (0, 0, 0)),  # too large to scale
+]
 
 
 @pytest.mark.parametrize(
-    "values",
-    [
-        [3 / 13, 2 / 13, 0.0],  # the denominator divides the scale
-        [3 / 17, 2 / 17, 2 / 17],  # it does not
-        [0.5 + 1e-6, 0.25, 0.0],  # near 1/2, but _round keeps 500001/1000000
-        [1 + 6e-7, 0.5, 0.0],  # under half a scale step from 1, but _round leaves 1
-        [1 / 720720 + 1e-12, 1.0, 0.0],  # the finest fraction the scale holds
-        [1e-11, -0.5, 0.75],  # tiny and negative entries
-        [float("nan"), 0.5, 0.5],
-        [3000.25, 1.0, 0.0],  # too large to scale
-    ],
+    "values, ray", RAY_CASES, ids=[f"values{i}" for i in range(len(RAY_CASES))]
 )
-def test_rays_match_round_on_edge_cases(values):
-    expected = (True, scissors._clear_denominators(scissors._round(values)))
-    assert scissors._rays([None, (0.5, values, [])]) == [None, expected]
-    expected = (False, scissors._clear_denominators(scissors._round(values)))
-    assert scissors._rays([(0.0, [0.0], values)]) == [expected]
+def test_rays_match_round_on_edge_cases(monkeypatch, values, ray):
+    assert scissors._rays([None, (0.5, values, [])]) == [None, (True, ray)]
+    assert scissors._rays([(0.0, [0.0], values)]) == [(False, ray)]
+    if not any(ray):
+        # the zero vector certifies nothing, so the exact simplex decides
+        monkeypatch.setattr(scissors, "max_epsilon", _no_simplex)
+        weak = [vec for vec, _ in scissors._cone_rows(theta())]
+        with pytest.raises(AssertionError, match="exact simplex"):
+            scissors._validate(weak, [(-1, 1, 0)], (True, ray), 3)
 
 
 def test_wrong_reconstruction_goes_to_exact_simplex(monkeypatch):
@@ -455,20 +457,13 @@ def test_widest_full_build_batch_matches_solving_each_alone(k4_t4_lps):
     _assert_alone_and_together(problems, len(k4().edges))
 
 
-def _no_fallback(values):
-    raise AssertionError("the continued-fraction fallback ran")
-
-
-def test_scaled_rays_match_continued_fractions(k4_t4_lps, monkeypatch):
-    """The scaled reconstruction gives _round's vector on every K4 -> T4
-    proposal, and never needs the continued-fraction fallback there."""
-    round_ = scissors._round
+def test_scaled_rays_validate_without_simplex(k4_t4_lps, monkeypatch):
+    """Every K4 -> T4 proposal scales to a certificate that _validate accepts
+    in integers, so the exact simplex never runs there."""
     proposals = [p for _, batch in k4_t4_lps for p in batch]
     assert len(proposals) == 17660 and None not in proposals
-    expected = [
-        (True, scissors._clear_denominators(round_(x))) if eps > 1e-7
-        else (False, scissors._clear_denominators(round_(duals)))
-        for eps, x, duals in proposals
-    ]
-    monkeypatch.setattr(scissors, "_round", _no_fallback)
-    assert [ray for _, batch in k4_t4_lps for ray in scissors._rays(batch)] == expected
+    monkeypatch.setattr(scissors, "max_epsilon", _no_simplex)
+    m = len(k4().edges)
+    for problems, batch in k4_t4_lps:
+        for (weak, strict), ray in zip(problems, scissors._rays(batch), strict=True):
+            scissors._validate(weak, strict, ray, m)
