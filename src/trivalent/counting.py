@@ -4,7 +4,8 @@ One tensor route and its oracle:
 
 * count_elimination -- contraction of the graph's tensor network for any
   graph that passes validate_13 (cycles allowed); needed where backtracking
-  is hopeless, e.g. quasi-polynomial extraction at t around 35.
+  is hopeless, e.g. quasi-polynomial extraction, whose closed and strict
+  counts reach t around 20 on 9-edge graphs.
   count_tree_dp is its entry point for {1,3}-trees, on which contracting
   leaves first is message passing.
 * count_backtracking -- pure-Python depth-first search with per-row interval
@@ -40,8 +41,8 @@ so every graph shares one read-only bool tensor per (lo, hi, p, q, kind,
 strict); each call takes a float64 copy.  That cache holds up to
 _INDICATOR_CACHE_SIZE tensors of at most _INDICATOR_CACHE_MAX bytes each
 (at most 8 MiB, and far less in practice: a full quasi-polynomial sweep of a
-9-edge graph holds about 0.7 MB); larger tensors are built per call, so a big
-t never pins memory.
+9-edge graph holds 44 tensors, about 0.14 MB in all); larger tensors are
+built per call, so a big t never pins memory.
 """
 from __future__ import annotations
 
@@ -164,12 +165,13 @@ def iter_lattice_points(sys: InequalitySystem, t) -> Iterator[tuple[int, ...]]:
 # -- local indicator ----------------------------------------------------------
 
 
-# Bounds of the indicator cache.  One sweep of a census graph (its
-# quasi-polynomial, h*, reflexivity and semi-reflexive counts) and the prism's
-# quasi-polynomial each visit fewer than 64 distinct dilations, and
-# quasi_polynomial visits them in a cycle, so the cache must hold a whole
-# sweep or it misses on every call.  Tensors above _INDICATOR_CACHE_MAX bytes
-# (len(vals) > 40: membership t >= 40, reflexive t >= 20) are not cached.
+# Bounds of the indicator cache.  Strict keys share it with closed ones: the
+# prism's quasi-polynomial visits 44 keys (closed t <= 22, strict s <= 21), a
+# whole census-7 pass (quasi-polynomials, h*, reflexivity and semi-reflexive
+# counts of all 28 graphs) 59, and quasi_polynomial visits them in a cycle,
+# so the cache must hold a whole sweep or it misses on every call.  Tensors
+# above _INDICATOR_CACHE_MAX bytes (len(vals) > 40: membership t >= 40,
+# reflexive t >= 20) are not cached.
 _INDICATOR_CACHE_SIZE = 128
 _INDICATOR_CACHE_MAX = 2**16
 

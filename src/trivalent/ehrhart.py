@@ -5,6 +5,13 @@ The counting function L(t) of an m-edge graph polytope is a degree-m
 quasi-polynomial whose fourth dilates are integral, so interpolation per
 residue class mod 4 is exact; the reported period is then minimized over the
 divisors of 4.
+
+About half of each residue class's nodes lie at negative t.
+Ehrhart-Macdonald reciprocity (Macdonald 1971; Beck and Robins, Computing the
+Continuous Discretely, ch. 4) gives L(-s) = (-1)^m |int(sP) cap Z^m| for a
+rational polytope P of full dimension m, and the interior is a strict count.
+A window of nodes centred on t = 0 reaches about half the largest dilation of
+one starting at t = r, and on a 9-edge cubic graph a count costs about t^5.
 """
 from __future__ import annotations
 
@@ -15,7 +22,7 @@ from typing import Callable, Sequence
 
 import mpmath
 
-from .counting import count_points
+from .counting import count_elimination, count_points
 from .graphs import Graph, GraphError, validate_13
 
 
@@ -95,25 +102,47 @@ def _interpolate(start: int, values: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, denom) for c in numer)
 
 
+def _nodes(r: int, m: int) -> list[int]:
+    """The m + 2 nodes r + 4k, consecutive in k, whose largest |t| is
+    smallest; of two such windows the higher.  The top node is positive."""
+    span = 4 * (m + 1)
+    low = min(
+        (r - 4 * j for j in range(m + 2)), key=lambda a: (max(-a, a + span), -a)
+    )
+    return [low + 4 * k for k in range(m + 2)]
+
+
 def quasi_polynomial(
     g: Graph, counter: Callable[[int], int] | None = None
 ) -> QuasiPolynomial:
     """Interpolate the exact counting quasi-polynomial of the graph polytope.
 
-    Per residue r mod 4 the counts at t = r, r+4, ..., r+4m pin down a
-    degree-m polynomial, which is then verified against one extra count at
-    t = r + 4(m+1).  The period is reduced to the smallest divisor of 4 whose
-    residue classes share constituents.
+    Per residue r mod 4 the nodes are m + 2 consecutive values r + 4k, the
+    window centred on t = 0 (largest |t| about 2m + 4, not 4m + 7): the
+    lowest m + 1 pin down a degree-m polynomial, and the top one, always
+    positive, is a probe it must match.  A node t >= 0 is counter(t).  A node
+    t = -s is (-1)^m count_elimination(g, s, strict=True), by reciprocity: P
+    is full-dimensional and no row of it is zero, so its interior is exactly
+    the points satisfying every row strictly.  The probe is a closed count
+    outside the fit nodes; were one node's value wrong, the fitted polynomial
+    would differ from the true one by c * prod(t - other fit nodes) with
+    c != 0, which is nonzero at the probe, so one probe catches any single
+    wrong value, reciprocity's included.  The period is reduced to the
+    smallest divisor of 4 whose residue classes share constituents.
     """
     if counter is None:
         counter = lambda t: count_points(g, t)
     m = len(g.edges)
+    sign = (-1) ** m
+
+    def value(t: int) -> int:
+        return counter(t) if t >= 0 else sign * count_elimination(g, -t, strict=True)
+
     constituents = []
     for r in range(4):
-        coeffs = _interpolate(r, [counter(r + 4 * k) for k in range(m + 1)])
-        probe = r + 4 * (m + 1)
-        value = sum(c * probe**i for i, c in enumerate(coeffs))
-        if value != counter(probe):
+        *fit, probe = _nodes(r, m)
+        coeffs = _interpolate(fit[0], [value(t) for t in fit])
+        if sum(c * probe**i for i, c in enumerate(coeffs)) != counter(probe):
             raise GraphError(
                 f"interpolation failed verification at t={probe}; "
                 "period-4 assumption violated"

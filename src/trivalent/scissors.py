@@ -595,7 +595,8 @@ def verify_decomposition(d: Decomposition, dilations: Iterable[int]) -> Verifica
             if owner < 0:
                 replay_ok = False
                 continue
-            w = {e: Fraction(int(x)) for e, x in zip(d.edge_order, row_pt)}
+            # weight_delta is +, - and max only: exact on int
+            w = {e: int(x) for e, x in zip(d.edge_order, row_pt)}
             for site in sites:
                 w[site.trail.e] += weight_delta(site, w)
             if tuple(w[e] for e in d.edge_order) != tuple(int(x) for x in row_im):

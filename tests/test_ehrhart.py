@@ -15,19 +15,35 @@ from trivalent.catalog import (
     theta,
     tree_two_internal,
 )
-from trivalent.counting import count_points
+from trivalent.counting import count_backtracking, count_elimination, count_points
 from trivalent.ehrhart import (
     QuasiPolynomial,
     _interpolate,
+    _nodes,
     quasi_polynomial,
     semi_reflexive_check,
     verlinde_count,
     volume_check,
     zagier_polynomial,
 )
-from trivalent.graphs import GraphError
+from trivalent.graphs import GraphError, make_graph
+from trivalent.polytope import inequality_system
 
 F = Fraction
+
+
+def k_prism(k):
+    """The k-prism: two k-cycles joined by k rungs (cubic, 3k edges)."""
+    edges = []
+    for r in range(1, k + 1):
+        nxt = r % k + 1
+        edges += [(3 * r - 2, r, nxt), (3 * r - 1, r + k, nxt + k), (3 * r, r, r + k)]
+    return make_graph(edges)
+
+
+def _census():
+    return [g for group in connected_13_classes(7).values() for g in group]
+
 
 CLAW_EVEN = (F(1), F(5, 6), F(1, 4), F(1, 24))
 CLAW_ODD = (F(1, 4), F(11, 24), F(1, 4), F(1, 24))
@@ -105,20 +121,82 @@ def test_interpolate_matches_lagrange():
 
 
 def test_quasi_polynomial_equals_lagrange_fit_on_census():
-    for group in connected_13_classes(7).values():
-        for g in group:
-            counts = {}
+    # the oracle fits closed counts at t = r, r+4, ..., r+4m: nodes of its
+    # own, none of them negative, so it shares no value with the QP's window
+    for g in _census():
+        qp = quasi_polynomial(g)
+        m = len(g.edges)
+        for r in range(4):
+            nodes = [r + 4 * k for k in range(m + 1)]
+            fit = _lagrange([(t, count_points(g, t)) for t in nodes])
+            assert qp.constituents[r % qp.period] == fit
 
-            def counter(t, g=g):
-                if t not in counts:
-                    counts[t] = count_points(g, t)
-                return counts[t]
 
-            qp = quasi_polynomial(g, counter=counter)
-            m = len(g.edges)
-            for r in range(4):
-                fit = _lagrange([(r + 4 * k, counts[r + 4 * k]) for k in range(m + 1)])
-                assert qp.constituents[r % qp.period] == fit
+def test_reciprocity_on_census_and_prism():
+    # (-1)^m L(-s) counts the strict interior of the s-th dilate
+    for g in _census() + [k_prism(3)]:
+        qp = quasi_polynomial(g)
+        sign = (-1) ** len(g.edges)
+        for s in range(1, 10):
+            assert sign * qp.evaluate(-s) == count_elimination(g, s, strict=True)
+
+
+def test_reciprocity_against_backtracking():
+    for g in (tree_two_internal(), k4()):
+        qp = quasi_polynomial(g)
+        sign = (-1) ** len(g.edges)
+        for s in range(1, 5):
+            oracle = count_backtracking(inequality_system(g), s, strict=True)
+            assert sign * qp.evaluate(-s) == oracle
+
+
+def test_wrong_strict_count_fails_the_probe(monkeypatch):
+    true_count = ehrhart.count_elimination
+
+    def off_by_one(g, s, strict=False):
+        return true_count(g, s, strict=strict) + (s == 3)
+
+    monkeypatch.setattr(ehrhart, "count_elimination", off_by_one)
+    with pytest.raises(GraphError, match="failed verification"):
+        quasi_polynomial(theta())
+
+
+def test_nodes_centred_on_zero(monkeypatch):
+    g = k4()
+    m = len(g.edges)
+    expected = quasi_polynomial(t4())
+    closed, negative = [], []
+    true_count = ehrhart.count_elimination
+
+    def strict_count(g, s, strict=False):
+        assert strict
+        negative.append(-s)
+        return true_count(g, s, strict=True)
+
+    def counter(t):
+        closed.append(t)
+        return count_points(g, t)
+
+    monkeypatch.setattr(ehrhart, "count_elimination", strict_count)
+    assert quasi_polynomial(g, counter=counter) == expected
+    nodes = closed + negative
+    assert len(nodes) == 4 * (m + 2)  # as many counts as before
+    assert max(map(abs, nodes)) <= 2 * m + 5  # the old top was 4m + 7
+    assert min(closed) >= 0 and max(negative) < 0
+    for r in range(4):
+        window = sorted(t for t in nodes if t % 4 == r)
+        assert window == _nodes(r, m)
+        assert window == [window[0] + 4 * k for k in range(m + 2)]
+        assert window[-1] > 0 and window[-1] in closed  # the probe is a closed count
+
+
+def test_cube_matches_zagier():
+    # the 4-prism, n = 8: the old window would have counted up to t = 55
+    g = k_prism(4)
+    qp = quasi_polynomial(g)
+    zagier = zagier_polynomial(8)
+    assert all(qp.constituents[r % qp.period] == zagier for r in (1, 3))
+    assert volume_check(g, qp).ok
 
 
 @pytest.mark.parametrize(

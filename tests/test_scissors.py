@@ -116,6 +116,17 @@ def test_verify_refuses_entries_beyond_int64_guard(theta_decomposition, field, b
         verify_decomposition(replace(d, pieces=(piece, *d.pieces[1:])), range(2))
 
 
+def test_verify_catches_a_corrupted_piece_matrix(theta_decomposition):
+    d = theta_decomposition
+    # the identity has determinant 1 and leaves the cover alone, so only the
+    # replay comparison can see it
+    piece = replace(d.pieces[0], matrix=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    report = verify_decomposition(replace(d, pieces=(piece, *d.pieces[1:])), range(7))
+    assert not report.ok
+    assert all(c.unique_cover for c in report.dilations)
+    assert not all(c.matches_replay for c in report.dilations)
+
+
 def _check_every_piece(d):
     m = len(d.edge_order)
     n = len(d.pieces)
