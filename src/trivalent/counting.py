@@ -24,32 +24,40 @@ intermediate, then the fewest flops) while there are at most
 _DP_MAX_VERTICES of them, and from a greedy rule beyond.  A tree's widest
 intermediate is governed by treewidth, where a linear frontier's is at least
 the cutwidth of its vertex order: 4 against 5 axes on K3,3, 4 against 11 on
-the 10-prism.  A shrinking contraction whose first operand has at least
-_SLAB_MIN_ENTRIES entries runs in slabs, which keeps its copies small;
-smaller ones run in one call.  Contractions are float64 BLAS products, exact
-while len(vals)**m < 2**53 and, beyond, whenever every step's largest entry
-stays below 2**53 (checked after the fact); otherwise the count reruns in
-int64 or is refused.  A plan whose tensors held at once (the indicator, the
-stack, a step's result and tensordot's copies) would exceed _TENSOR_BUDGET
-bytes is refused before anything is allocated.
+the 10-prism.
 
-Work that does not depend on the count is done once.  A graph's contraction
-plan (the tree in postorder, one einsum script per vertex, paired axes per
-contraction) depends only on the graph, so _plan is cached per exact Graph.
-The vals^3 slot indicator depends only on the dilation, kind and strictness,
-so every graph shares one read-only bool tensor per (lo, hi, p, q, kind,
-strict); each call takes a float64 copy.  That cache holds up to
-_INDICATOR_CACHE_SIZE tensors of at most _INDICATOR_CACHE_MAX bytes each
-(at most 8 MiB, and far less in practice: a full quasi-polynomial sweep of a
-9-edge graph holds 44 tensors, about 0.14 MB in all); larger tensors are
-built per call, so a big t never pins memory.
+The tree is compiled once into a program.  Each tensor is stored in an axis
+order the plan chooses, so that each contraction is one np.matmul(a, b,
+out=...) of 2-D views (a transposed view goes to BLAS as is), or a batch of
+them over one leading axis; only a tensor no order serves is copied, as
+einsum copies a leaf.  All tensors are spans of one float64 workspace per
+thread, packed by when each is alive, and reused by the next count; a
+workspace over _TENSOR_BUDGET >> 5 bytes is released after its count.
+Products are exact while len(vals)**m < 2**53 and, beyond, whenever every
+step's largest entry stays below 2**53 (checked after the fact); otherwise
+the count reruns in int64 or is refused.  A count whose program's peak (the
+workspace beside the indicator) would exceed _TENSOR_BUDGET bytes is refused
+before anything is allocated.
+
+Work that does not depend on the count is done once.  A graph's plan (the
+tree in postorder, each tensor's axis order and slot) depends only on the
+graph, so _plan is cached per exact Graph, and its spans and shapes at n
+values per axis per (plan, n) in _program.  The vals^3 slot indicator
+depends only on the dilation, kind and strictness, so every graph shares one
+read-only bool tensor per (lo, hi, p, q, kind, strict), which a run casts
+into its workspace.  That cache holds up to _INDICATOR_CACHE_SIZE tensors of
+at most _INDICATOR_CACHE_MAX bytes each (at most 8 MiB, and far less in
+practice: a full quasi-polynomial sweep of a 9-edge graph holds 44 tensors,
+about 0.14 MB in all); larger tensors are built per call, so a big t never
+pins memory.
 """
 from __future__ import annotations
 
+import math
+import threading
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from operator import le
+from itertools import combinations, permutations
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -74,21 +82,10 @@ def _dilation(t, box: str) -> tuple[int, int, int, int]:
     return p, q, (0 if box == "nonneg" else -hi), hi
 
 
-# The most bytes the 8-byte tensors of count_elimination may hold at once:
-# every set of tensors its plan holds together, the vals^3 indicator
-# included, is checked against it before anything is allocated.
+# The most bytes a count may hold at once: its program's workspace beside the
+# bool indicator, or the indicator's build if that is more (_Program.peak).
+# A count over it is refused before anything is allocated.
 _TENSOR_BUDGET = 2**31
-
-
-def _check_budget(n_vals: int, peaks: tuple[tuple[int, ...], ...]) -> None:
-    """Refuse when some set of tensors held at once, given by their numbers
-    of axes over n_vals values, would take more than _TENSOR_BUDGET bytes."""
-    need = 8 * max(sum(n_vals**rank for rank in ranks) for ranks in peaks)
-    if need > _TENSOR_BUDGET:
-        raise GraphError(
-            f"count too large for memory: its tensors would take {need} bytes "
-            f"at once, over the {_TENSOR_BUDGET >> 30} GiB budget"
-        )
 
 
 def _last_ranges(
@@ -179,17 +176,18 @@ _INDICATOR_CACHE_MAX = 2**16
 def _slot_indicator(
     vals: np.ndarray, p: int, q: int, kind: str, strict: bool
 ) -> np.ndarray:
-    """0/1 tensor over vals^3: the rows of KINDS[kind] for one vertex, on its
-    three slot values, at the dilation p/q.  vals is the range lo..hi.
+    """0/1 bool tensor over vals^3: the rows of KINDS[kind] for one vertex, on
+    its three slot values, at the dilation p/q.  vals is the range lo..hi.
 
     A vertex whose slots repeat an edge (a loop) takes the diagonal of this
-    tensor, so one tensor serves every degree-3 vertex of a graph.  Each call
-    returns a fresh float64 array.
+    tensor, so one tensor serves every degree-3 vertex of a graph.  Up to
+    _INDICATOR_CACHE_MAX entries the tensor is shared and read-only; larger
+    ones are built per call.
     """
     key = (int(vals[0]), int(vals[-1]), p, q, kind, strict)
     if len(vals) ** 3 > _INDICATOR_CACHE_MAX:
-        return _bool_indicator(*key).astype(np.float64)
-    return _shared_indicator(*key).astype(np.float64)
+        return _bool_indicator(*key)
+    return _shared_indicator(*key)
 
 
 def _bool_indicator(
@@ -216,48 +214,17 @@ def _shared_indicator(
     return ind
 
 
-# Building the indicator holds an int64 vals^3 row sum beside the bool tensor,
-# and casting it holds the bool tensor beside the cast: at most two 8-byte
-# vals^3 tensors at once.
-_INDICATOR_PEAK = (3, 3)
+# Building the indicator holds an int64 vals^3 row sum beside the bool tensor
+# and a bool comparison: less than two 8-byte vals^3 tensors at once.
+_INDICATOR_BUILD_BYTES = 16
+
+# A count's small allocations beside its tensors (the value range, views,
+# scalars, and its program when that is not cached yet): under 4 KB traced
+# on K3,3 at 48 values.
+_RUN_SMALL_BYTES = 2**13
 
 
-# -- contraction-tree elimination for general graphs ---------------------------
-
-
-# _contract slabs a shrinking step only when its first operand has at least
-# this many entries.  Smaller operands are copied whole by one tensordot call,
-# which costs less than a loop of slab calls; from here up, slabs keep the
-# peak near the operand's size (measured in BENCH_13.json).
-_SLAB_MIN_ENTRIES = 2**16
-
-
-def _contract(
-    frontier: np.ndarray, tensor: np.ndarray, shared: tuple[list[int], list[int]]
-) -> np.ndarray:
-    """Sum frontier x tensor over the paired axes in ``shared``.
-
-    The result keeps the unpaired frontier axes, then the unpaired tensor
-    axes, as np.tensordot orders them.  tensordot copies an operand whose
-    summed axes are not contiguous; when the result has fewer axes than the
-    frontier and the frontier has at least _SLAB_MIN_ENTRIES entries, the
-    contraction runs in slabs along the first kept frontier axis, so each copy
-    is one slab and the peak stays near the frontier's size.
-    """
-    f_shared, t_shared = shared
-    kept = [k for k in range(frontier.ndim) if k not in f_shared]
-    new_ndim = tensor.ndim - len(t_shared)
-    if not kept or new_ndim >= len(f_shared) or frontier.size < _SLAB_MIN_ENTRIES:
-        return np.tensordot(frontier, tensor, axes=shared)
-    k0 = kept[0]
-    slab_shared = [k - (k > k0) for k in f_shared]
-    out_shape = [frontier.shape[k] for k in kept] + [
-        n for k, n in enumerate(tensor.shape) if k not in t_shared
-    ]
-    out = np.empty(out_shape, dtype=frontier.dtype)
-    for i, slab in enumerate(np.moveaxis(frontier, k0, 0)):
-        out[i] = np.tensordot(slab, tensor, axes=(slab_shared, t_shared))
-    return out
+# -- the contraction program ---------------------------------------------------
 
 
 # Bound of the plan cache, as nni's canonical-form cache: the counts of one
@@ -265,14 +232,29 @@ def _contract(
 # semi-reflexive checks) come together, so a small cache catches them.
 _PLAN_CACHE_SIZE = 64
 
+# Bound of the program cache, one program per (plan, value count).  A whole
+# census-7 pass makes 519 programs and visits them in a cycle, so the cache
+# holds a pass, or it would miss on every call; a program is a few hundred
+# bytes of ints.
+_PROGRAM_CACHE_SIZE = 1024
+
 # Plans of graphs with at most this many degree-3 vertices come from the
 # exact subset DP, whose cost grows as 3**n; larger graphs use the greedy
 # rule, whose cost grows as n**3.
 _DP_MAX_VERTICES = 10
 
-# The DP weighs a step over k distinct edges as _PLAN_VALUES**k flops, a
-# mid-range dilation; this only orders trees of equal widest intermediate.
+# Plan costs weigh a step over k distinct edges as _PLAN_VALUES**k flops and
+# a copy of a k-axis tensor as 8 * _PLAN_VALUES**k bytes, a mid-range dilation.
 _PLAN_VALUES = 32
+
+# A merge may run as a batch of matrix products over one axis of one factor
+# instead of copying it; each product of the batch is weighed as this many
+# flops, about its call overhead.
+_BATCH_COST = 2**13
+
+# Choosing layouts keeps at most this many axis orders per tree node, the
+# cheapest: every order of a 4-axis tensor, and a bound on wider trees.
+_LAYOUT_ORDERS = 24
 
 # A contraction tree as a list of merges: leaves are nodes 0..n-1, and merge
 # k, a pair of earlier nodes, is node n + k.
@@ -280,38 +262,70 @@ _Merges = list[tuple[int, int]]
 
 
 class _Plan(NamedTuple):
-    """A contraction tree in postorder, the most axes any of its tensors has,
-    and the sets of tensors a run may hold at once that can be the largest,
-    each as its tensors' numbers of axes (the indicator included).  A str step pushes one degree-3
-    vertex's tensor (an einsum script on the slot indicator); a pair (first
-    axes, second axes) pops two tensors and pushes their _contract over those
-    paired axes."""
+    """A contraction tree compiled into steps over the slots of a workspace.
 
-    steps: tuple[str | tuple[tuple[int, ...], tuple[int, ...]], ...]
+    Slot s holds tensors of at most ranks[s] axes; at n values per axis it
+    takes n**ranks[s] entries.  Slot ind holds the float64 indicator, and the
+    count ends in slot result (None when g has no degree-3 vertex).  A
+    tensor's entries are stored in the row-major order of its axes.  The
+    steps, in postorder:
+
+    * ("leaf", script, slot, rank): einsum of the indicator into a slot;
+    * ("copy", src, perm, dst, rank): src's tensor with its axes permuted;
+    * ("mul", a, b, out): out = a @ b.  a is (slot, batch axes, row axes,
+      column axes, transposed): the slot's tensor viewed as n**batch
+      matrices of n**rows x n**cols (one matrix when batch is 0), each
+      transposed when the flag is set; b likewise, and out is (slot, batch
+      axes, row axes, column axes, False).  At most one factor has a batch
+      axis; the other is used for every matrix of the batch.
+
+    widest is the most axes any tensor has, copies the number of tensors
+    copied into a new axis order (leaves included), and cost the flops plus
+    the bytes copied and the weight of batches (see _layout), at
+    _PLAN_VALUES values per axis.
+    """
+
+    steps: tuple
+    ranks: tuple[int, ...]
+    ind: int | None
+    result: int | None
     widest: int
-    peaks: tuple[tuple[int, ...], ...]
+    copies: int
+    cost: int
+
+    def __hash__(self) -> int:
+        # the program cache hashes a plan on every count; equal plans agree
+        # on these fields, which are cheap to hash
+        return hash((self.ranks, self.result, self.cost, len(self.steps)))
 
 
-def _leaves(g: Graph) -> list[tuple[str, list[int]]]:
-    """(einsum script, open edges) of each degree-3 vertex, by vertex id.
+def _leaves(g: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(slots, open edges) of each degree-3 vertex, by vertex id.
 
     An edge stays open until both its degree-3 endpoints are merged; an edge
     whose only degree-3 endpoint is the vertex itself (a pendant, a loop) is
-    summed out in its script, and a loop takes the indicator's diagonal.
+    summed out by the vertex's einsum, and a loop takes the indicator's
+    diagonal.
     """
     owners = {
         e: {x for x in (u, w) if g.degrees[x] == 3} for e, u, w in g.edge_list
     }
-    leaves = []
-    for v in sorted(g.vertex_ids):
-        if g.degrees[v] != 3:
-            continue
-        axes = [e for e in g.incident_edges(v) if owners[e] != {v}]
-        slots = g.slots(v)
-        letter = {e: "abc"[i] for i, e in enumerate(dict.fromkeys(slots))}
-        script = "".join(letter[e] for e in slots) + "->"
-        leaves.append((script + "".join(letter[e] for e in axes), axes))
-    return leaves
+    return [
+        (g.slots(v), tuple(e for e in g.incident_edges(v) if owners[e] != {v}))
+        for v in sorted(g.vertex_ids)
+        if g.degrees[v] == 3
+    ]
+
+
+def _is_view(slots: tuple[int, ...], axes: tuple[int, ...]) -> bool:
+    """Whether a leaf is the indicator itself: three distinct open slots."""
+    return len(set(slots)) == 3 == len(axes)
+
+
+def _script(slots: tuple[int, ...], order: tuple[int, ...]) -> str:
+    """The einsum script from the indicator over slots to the axes order."""
+    letter = {e: "abc"[i] for i, e in enumerate(dict.fromkeys(slots))}
+    return "".join(letter[e] for e in slots) + "->" + "".join(letter[e] for e in order)
 
 
 def _dp_tree(masks: list[int]) -> _Merges:
@@ -386,68 +400,350 @@ def _greedy_tree(masks: list[int]) -> _Merges:
     return merges
 
 
+def _forms(
+    order: tuple[int, ...], shared: frozenset[int]
+) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], bool]]:
+    """The ways a tensor stored in this axis order is a matrix factor over the
+    shared axes: (batch axes, shared block, other axes, whether the block
+    comes first), where the batch is at most one leading axis."""
+    k = len(shared)
+    forms = []
+    for b in range(min(2, len(order) - k + 1)):
+        head, tail = order[:b], order[b:]
+        if set(tail[:k]) == shared:
+            forms.append((head, tail[:k], tail[k:], True))
+        if k and set(tail[len(tail) - k:]) == shared:
+            forms.append((head, tail[len(tail) - k:], tail[:len(tail) - k], False))
+    return forms
+
+
+def _layout(
+    leaves: list[tuple[tuple[int, ...], tuple[int, ...]]],
+    merges: _Merges,
+    nodes: list[frozenset[int]],
+) -> tuple[list, list, list, int]:
+    """For each node of the tree, the axis order it is computed in and the
+    order it is used in (another order costs a copy), and for each merge
+    (whether its first child is the left factor, the first child's form, the
+    second's); chosen for the lowest cost in copies and batches, which is
+    returned too.
+
+    A merge is one matrix product when both children hold their shared axes
+    as one block at one end, in the same order: each child is then a 2-D
+    view, transposed when the block leads the left factor or trails the
+    right one.  The result holds the left factor's other axes, then the
+    right one's.  When one child has one more axis before the block, the
+    merge is a batch of such products over that axis, and the result leads
+    with it.  A child whose order fits neither way is copied into one that
+    does; a leaf in another order than the indicator's is an einsum, so it
+    costs a copy only when it is the indicator itself.  Tables map each
+    order a node can be computed in to its cheapest (cost, choice), bottom up.
+    """
+    n_leaves = len(leaves)
+    copy_cost = [8 * _PLAN_VALUES ** len(axes) for axes in nodes]
+    tables: list[dict] = [
+        {order: (0 if order == slots or not _is_view(slots, axes) else copy_cost[k], None)
+         for order in permutations(axes)}
+        for k, (slots, axes) in enumerate(leaves)
+    ]
+    for i, j in merges:
+        shared = nodes[i] & nodes[j]
+        seqs = {tuple(sorted(shared))}
+        for k in (i, j):
+            seqs.update(f[1] for o in tables[k] for f in _forms(o, shared))
+
+        def uses(k: int) -> list:
+            # (order used, order computed, cost, form)
+            best, (cost, _) = min(tables[k].items(), key=lambda kv: (kv[1][0], kv[0]))
+            rest = tuple(e for e in best if e not in shared)
+            return [
+                (o, o, c, f) for o, (c, _) in tables[k].items() for f in _forms(o, shared)
+            ] + [(rest + s, best, cost + copy_cost[k], ((), s, rest, False)) for s in sorted(seqs)]
+
+        options: dict = {}
+        for ua, sa, ca, fa in uses(i):
+            for ub, sb, cb, fb in uses(j):
+                if fa[1] != fb[1] or (fa[0] and fb[0]):
+                    continue
+                batch = fa[0] + fb[0]
+                cost = ca + cb
+                if batch:  # each product of the batch packs the other factor again
+                    other = len(nodes[j] if fa[0] else nodes[i])
+                    cost += _PLAN_VALUES ** len(batch) * (
+                        _BATCH_COST + 4 * _PLAN_VALUES**other)
+                for order, i_left in (
+                    (batch + fa[2] + fb[2], True), (batch + fb[2] + fa[2], False)
+                ):
+                    if order not in options or cost < options[order][0]:
+                        options[order] = (cost, (sa, ua, fa, sb, ub, fb, i_left))
+        kept = sorted(options.items(), key=lambda kv: (kv[1][0], kv[0]))
+        tables.append(dict(kept[:_LAYOUT_ORDERS]))
+
+    computed: list = [None] * len(nodes)
+    used: list = [None] * len(nodes)
+    forms: list = [None] * len(nodes)
+    cost = 0
+    if nodes:
+        root = len(nodes) - 1
+        computed[root], (cost, _) = min(tables[root].items(), key=lambda kv: kv[1][0])
+        used[root] = computed[root]
+        for k in range(root, n_leaves - 1, -1):  # parents before children
+            i, j = merges[k - n_leaves]
+            computed[i], used[i], fi, computed[j], used[j], fj, i_left = (
+                tables[k][computed[k]][1]
+            )
+            forms[k] = (i_left, fi, fj)
+    return computed, used, forms, cost
+
+
 def _build_plan(g: Graph, tree: Callable[[list[int]], _Merges]) -> _Plan:
     """Compile the tree that ``tree`` (_dp_tree or _greedy_tree) finds for g.
 
-    Of each merge, the child with more axes is computed first and becomes
-    _contract's first operand, the one it slabs.  While a contraction runs,
-    the run holds the indicator, the stack (both operands included) and the
-    result, and tensordot may copy each operand; a slabbed step also holds
-    one slab's product.  Those sets of tensors are the plan's peaks.
+    _layout picks each tensor's axis order.  Of each merge, the child whose
+    subtree needs less room beside the other's result is computed first.
+    Each tensor then lives from the step that writes it to the last step
+    that reads it, and tensors are packed into slots largest first, each
+    into the first slot whose tensors all live at other times ("greedy by
+    size" for shared objects, Pisarchyk and Lee 2020): a slot's size is
+    then a power of the value count, so the packing holds for every count.
     """
     leaves = _leaves(g)
     bit = {e: 1 << k for k, e in enumerate(g.edges)}
-    masks = [sum(bit[e] for e in axes) for _, axes in leaves]
-    merges = tree(masks)
+    merges = tree([sum(bit[e] for e in axes) for _, axes in leaves])
+    nodes = [frozenset(axes) for _, axes in leaves]
     for i, j in merges:
-        masks.append(masks[i] ^ masks[j])
+        nodes.append(nodes[i] ^ nodes[j])
+    computed, used, forms, moved = _layout(leaves, merges, nodes)
+    n_leaves = len(leaves)
+    view = [k < n_leaves and _is_view(*leaves[k]) and used[k] == leaves[k][0]
+            for k in range(len(nodes))]
+
+    # entries a subtree needs at once, and holds once done, at _PLAN_VALUES
+    size = [_PLAN_VALUES ** len(axes) for axes in nodes]
+    held = [0 if view[k] else size[k] for k in range(len(nodes))]
+    need = held[:n_leaves]
+    first = []
+    for k, (i, j) in enumerate(merges, n_leaves):
+        a, b = min((i, j), (j, i), key=lambda ab: (
+            max(need[ab[0]], held[ab[0]] + need[ab[1]]), -len(nodes[ab[0]]), ab[0]))
+        first.append((a, b))
+        copy = 2 * size[k] if used[k] != computed[k] else 0
+        need.append(max(need[a], held[a] + need[b], held[i] + held[j] + size[k], copy))
+
+    buffers = [[3, -1, -1]]  # rank, first and last step; 0 is the indicator
     steps: list = []
-    widest = 0
-    held = [3]  # the float64 indicator, then the stack
-    peaks = {_INDICATOR_PEAK}
+    flops = copies = 0
 
-    def emit(node: int) -> list[int]:
-        nonlocal widest
-        if node < len(leaves):
-            script, axes = leaves[node]
-            steps.append(script)
-            peaks.add((*held, len(axes)))
-        else:
-            pair = merges[node - len(leaves)]
-            first, second = sorted(pair, key=lambda k: -masks[k].bit_count())
-            a, b = emit(first), emit(second)
-            steps.append((
-                tuple(k for k, e in enumerate(a) if e in b),
-                tuple(b.index(e) for e in a if e in b),
-            ))
-            axes = [e for e in a if e not in b] + [e for e in b if e not in a]
-            peaks.add((*held, len(a), len(b), len(axes), len(axes)))
-            del held[-2:]
-        held.append(len(axes))
-        widest = max(widest, len(axes))
-        return axes
+    def new(rank: int) -> int:
+        buffers.append([rank, len(steps), len(steps)])
+        return len(buffers) - 1
 
-    if leaves:
-        emit(len(masks) - 1)
-    # a set no larger, axis for axis, than another set is never the peak
-    peaks = {tuple(sorted(p, reverse=True)) for p in peaks}
-    peaks = {
-        p for p in peaks
-        if not any(p != q and len(p) <= len(q) and all(map(le, p, q)) for q in peaks)
-    }
-    return _Plan(tuple(steps), widest, tuple(sorted(peaks)))
+    def read(*bufs: int) -> None:
+        for b in bufs:
+            buffers[b][2] = len(steps)
+
+    def emit(k: int) -> int:
+        nonlocal flops, copies
+        if view[k]:
+            return 0
+        if k < n_leaves:
+            slots, axes = leaves[k]
+            read(0)
+            out = new(len(axes))
+            steps.append(("leaf", _script(slots, used[k]), out, len(axes)))
+            copies += _is_view(slots, axes)
+            return out
+        i, j = merges[k - n_leaves]
+        a, b = first[k - n_leaves]
+        held_buf = {a: emit(a)}
+        held_buf[b] = emit(b)
+        i_left, form_i, form_j = forms[k]
+        (left, (bl, sl, rl, l_first)), (right, (br, _, rr, r_first)) = (
+            ((i, form_i), (j, form_j)) if i_left else ((j, form_j), (i, form_i))
+        )
+        read(held_buf[left], held_buf[right])
+        out = new(len(nodes[k]))
+        # the left factor is rows x shared: as stored when its block trails,
+        # else transposed; the right one is shared x columns
+        ks = len(sl)
+        lrc = (ks, len(rl)) if l_first else (len(rl), ks)
+        rrc = (ks, len(rr)) if r_first else (len(rr), ks)
+        steps.append((
+            "mul",
+            (held_buf[left], len(bl), *lrc, l_first),
+            (held_buf[right], len(br), *rrc, not r_first),
+            (out, len(bl) + len(br), len(rl), len(rr), False),
+        ))
+        flops += _PLAN_VALUES ** (len(bl) + len(br) + len(rl) + ks + len(rr))
+        if used[k] != computed[k]:
+            read(out)
+            src, out = out, new(len(nodes[k]))
+            perm = tuple(computed[k].index(e) for e in used[k])
+            steps.append(("copy", src, perm, out, len(nodes[k])))
+            copies += 1
+        return out
+
+    result = emit(len(nodes) - 1) if nodes else None
+
+    slot_of = [0] * len(buffers)
+    ranks: list[int] = []
+    lives: list[list[tuple[int, int]]] = []
+    for b in sorted(range(len(buffers)), key=lambda b: (-buffers[b][0], buffers[b][1])):
+        rank, lo, hi = buffers[b]
+        slot = next(
+            (s for s, spans in enumerate(lives) if all(hi < x or y < lo for x, y in spans)),
+            len(ranks),
+        )
+        if slot == len(ranks):
+            ranks.append(rank)
+            lives.append([])
+        lives[slot].append((lo, hi))
+        slot_of[b] = slot
+
+    def at(step):
+        kind, *args = step
+        if kind == "mul":
+            return (kind, *((slot_of[s], *rest) for s, *rest in args))
+        if kind == "leaf":
+            return (kind, args[0], slot_of[args[1]], args[2])
+        return (kind, slot_of[args[0]], args[1], slot_of[args[2]], args[3])
+
+    return _Plan(
+        steps=tuple(map(at, steps)),
+        ranks=tuple(ranks) if nodes else (),
+        ind=slot_of[0] if nodes else None,
+        result=None if result is None else slot_of[result],
+        widest=max(map(len, nodes), default=0),
+        copies=copies,
+        cost=flops + moved,
+    )
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _plan(g: Graph) -> _Plan:
-    """g's contraction tree: exact DP while g is small, the greedy rule beyond.
+    """g's contraction plan: exact DP tree while g is small, greedy beyond.
 
     On the benchmark's cubic graphs both give the same widest intermediate
-    and nearly the same flops, yet the DP's trees run faster: the prism's
-    quasi-polynomial takes 0.66 s against 0.91 s (BENCH_13.json).
+    and nearly the same cost, yet the DP's trees run faster: cubic-qp makes
+    5 % more items per second with them (BENCH_16.json).
     """
     n = sum(1 for v in g.vertex_ids if g.degrees[v] == 3)
     return _build_plan(g, _dp_tree if n <= _DP_MAX_VERTICES else _greedy_tree)
+
+
+class _Program(NamedTuple):
+    """A plan at n values per axis.  Each step reads and writes spans of the
+    workspace (see _program), a factor's followed by whether it is
+    transposed; ind is the indicator's span, result the entry holding the
+    count, size the workspace's entries and peak the bytes a count holds at
+    once: the workspace beside the bool indicator, or the indicator's build
+    if that is more, and the count's small allocations."""
+
+    steps: tuple
+    ind: tuple[int, int, tuple[int, ...]] | None
+    result: int | None
+    size: int
+    peak: int
+
+
+@lru_cache(maxsize=_PROGRAM_CACHE_SIZE)
+def _program(plan: _Plan, n: int) -> _Program:
+    """plan's steps as spans of one workspace at n values per axis.
+
+    A span is (first entry, end entry, shape).  Equal numbers and shapes are
+    stored once, which halves a program's memory: a census-7 pass keeps 519
+    programs.
+    """
+    stored: dict = {}
+
+    def keep(x):
+        return stored.setdefault(x, x)
+
+    start = [0]
+    for rank in plan.ranks:
+        start.append(start[-1] + n**rank)
+
+    def span(slot: int, rank: int, shape: tuple[int, ...] | None = None):
+        return (keep(start[slot]), keep(start[slot] + n**rank),
+                keep(tuple(map(keep, shape or (n,) * rank))))
+
+    def matrix(slot: int, batch: int, rows: int, cols: int):
+        shape = (n**rows, n**cols) if not batch else (n**batch, n**rows, n**cols)
+        return span(slot, batch + rows + cols, shape)
+
+    steps = []
+    for kind, *args in plan.steps:
+        if kind == "mul":
+            (sa, *a, ta), (sb, *b, tb), (so, *o, _) = args
+            steps.append((kind, *matrix(sa, *a), ta, *matrix(sb, *b), tb, *matrix(so, *o)))
+        elif kind == "leaf":
+            script, slot, rank = args
+            steps.append((kind, script, *span(slot, rank)))
+        else:
+            src, perm, dst, rank = args
+            steps.append((kind, *span(src, rank)[:2], perm, *span(dst, rank)))
+    size = start[-1]
+    return _Program(
+        tuple(steps),
+        None if plan.ind is None else span(plan.ind, 3),
+        None if plan.result is None else start[plan.result],
+        size,
+        max(_INDICATOR_BUILD_BYTES * n**3, 8 * size + n**3) + _RUN_SMALL_BYTES,
+    )
+
+
+# Each thread's float64 workspace: grown when a count needs more, reused by
+# the next count, and released after a count when it is larger than
+# _TENSOR_BUDGET >> 5 bytes, so a big count pins no memory.
+_thread = threading.local()
+
+
+def _workspace(size: int) -> np.ndarray:
+    buf = getattr(_thread, "workspace", None)
+    if buf is None or len(buf) < size:
+        _thread.workspace = None  # freed before the larger one is allocated
+        _thread.workspace = buf = np.empty(size)
+    return buf
+
+
+def _run(program: _Program, ind: np.ndarray, limit: int | None = None) -> int | None:
+    """Run program on the indicator ind: in the thread's float64 workspace,
+    or in a fresh int64 one when ind is int64.
+
+    With a limit, returns None as soon as a product's largest entry reaches
+    it.
+    """
+    if program.result is None:
+        return 1
+    if ind.dtype == np.int64:
+        buf = np.empty(program.size, dtype=np.int64)
+    else:
+        buf = _workspace(program.size)
+    try:
+        i, j, shape = program.ind
+        ind3 = buf[i:j].reshape(shape)
+        np.copyto(ind3, ind)
+        for step in program.steps:
+            kind = step[0]
+            if kind == "mul":
+                _, i, j, shape_a, ta, k, m, shape_b, tb, o, p, shape_o = step
+                a = buf[i:j].reshape(shape_a)
+                b = buf[k:m].reshape(shape_b)
+                out = buf[o:p].reshape(shape_o)
+                np.matmul(a.swapaxes(-1, -2) if ta else a,
+                          b.swapaxes(-1, -2) if tb else b, out=out)
+                if limit is not None and out.max() >= limit:
+                    return None
+            elif kind == "leaf":
+                _, script, o, p, shape_o = step
+                np.einsum(script, ind3, out=buf[o:p].reshape(shape_o))
+            else:
+                _, i, j, perm, o, p, shape_o = step
+                np.copyto(buf[o:p].reshape(shape_o), buf[i:j].reshape(shape_o).transpose(perm))
+        return int(buf[program.result])
+    finally:
+        if buf.dtype == np.float64 and buf.nbytes > _TENSOR_BUDGET >> 5:
+            _thread.workspace = None
 
 
 def _eliminate(g: Graph, ind: np.ndarray, limit: int | None = None) -> int | None:
@@ -456,17 +752,15 @@ def _eliminate(g: Graph, ind: np.ndarray, limit: int | None = None) -> int | Non
     With a limit, returns None as soon as a contraction's largest entry
     reaches it.
     """
-    stack: list[np.ndarray] = []
-    for step in _plan(g).steps:
-        if isinstance(step, str):
-            stack.append(np.einsum(step, ind))
-            continue
-        second = stack.pop()
-        out = _contract(stack.pop(), second, step)
-        if limit is not None and out.max() >= limit:
-            return None
-        stack.append(out)
-    return int(stack.pop()) if stack else 1
+    return _run(_program(_plan(g), len(ind)), ind, limit)
+
+
+def _gib(nbytes: int) -> str:
+    """nbytes in GiB to three significant digits, or as a power of two past
+    2**60 bytes, where the digits would run long."""
+    if nbytes > 2**60:
+        return f"about 2**{round(math.log2(nbytes))} bytes"
+    return f"{nbytes / 2**30:.3g} GiB"
 
 
 def count_elimination(
@@ -479,7 +773,7 @@ def count_elimination(
     strict=True counts strict interiors.  Works for any graph accepted by
     validate_13, including graphs with loops, parallel edges and cycles.
 
-    Each step of the plan is one tensor contraction run by BLAS in float64.
+    Each merge of the plan is one matrix product run by BLAS in float64.
     An entry counts the assignments of the edges summed so far, so it is a
     nonnegative integer of at most len(vals)**m, and so is every partial sum
     of nonnegative products inside it.  While len(vals)**m < 2**53 float64
@@ -488,27 +782,30 @@ def count_elimination(
     reaches 2**53 is computed as at least 2**53, and a plan whose every step
     stays below it was exact throughout.  Otherwise the contraction reruns on
     int64 arrays while len(vals)**m < 2**62, and the count is refused beyond.
-    A plan whose tensors held at once would exceed _TENSOR_BUDGET bytes is
-    refused before anything is allocated.
+    A program whose peak would exceed _TENSOR_BUDGET bytes is refused before
+    anything is allocated.
     """
     validate_13(g)
     if kind not in KINDS:
         raise GraphError(f"unknown system kind {kind!r}")
     p, q, lo, hi = _dilation(t, KINDS[kind][1])
     n_vals = hi - lo + 1
-    _check_budget(n_vals, _plan(g).peaks)
+    program = _program(_plan(g), n_vals)
+    if program.peak > _TENSOR_BUDGET:
+        raise GraphError(
+            f"count too large for memory: its tensors would take "
+            f"{_gib(program.peak)} at once, over the {_gib(_TENSOR_BUDGET)} budget"
+        )
     bound = n_vals ** len(g.edges)
-    vals = np.arange(lo, hi + 1, dtype=np.int64)
-    ind = _slot_indicator(vals, p, q, kind, strict)
-    count = _eliminate(g, ind, _FLOAT_EXACT if bound >= _FLOAT_EXACT else None)
+    ind = _slot_indicator(np.arange(lo, hi + 1, dtype=np.int64), p, q, kind, strict)
+    count = _run(program, ind, _FLOAT_EXACT if bound >= _FLOAT_EXACT else None)
     if count is not None:
         return count
     if bound >= _INT64_LIMIT:
         raise GraphError(
             "count too large: a float64 step reached 2**53 and int64 could overflow"
         )
-    ind = ind.astype(np.int64)
-    return _eliminate(g, ind)
+    return _run(program, ind.astype(np.int64))
 
 
 def count_tree_dp(g: Graph, t) -> int:

@@ -256,6 +256,18 @@ def test_out_of_memory_is_an_error_line():
     assert "Traceback" not in result.stderr
 
 
+def test_budget_refusal_is_one_short_line():
+    # at t = 1e400 the need in bytes has about 1,600 digits; it prints as a
+    # power of two, and a need below 2**60 bytes in GiB
+    for t, need in (("1e400", "about 2**"), ("200", "12.4 GiB")):
+        result = run_module("ehrhart", "count", "k4", "-t", t)
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and len(lines[0]) < 120, result.stderr
+        assert lines[0].startswith("error: count too large for memory")
+        assert need in lines[0]
+
+
 def test_reflexive_check(capsys):
     payload = run_json(capsys, "reflexive", "check", "claw", "--t-max", "2")
     assert payload["ok"] is True

@@ -1,6 +1,7 @@
 """Cross-checks between the tensor counting route and the backtracking oracle."""
 import json
 import string
+import threading
 import tracemalloc
 from fractions import Fraction
 from importlib.resources import files
@@ -24,16 +25,14 @@ from trivalent.catalog import (
 import trivalent.counting as counting
 from trivalent.counting import (
     _INDICATOR_CACHE_MAX,
-    _SLAB_MIN_ENTRIES,
     _TENSOR_BUDGET,
     _build_plan,
-    _check_budget,
-    _contract,
     _dilation,
     _dp_tree,
     _eliminate,
     _greedy_tree,
     _plan,
+    _program,
     _shared_indicator,
     _slot_indicator,
     count_backtracking,
@@ -239,13 +238,14 @@ def test_tensor_budget_is_checked_before_allocating(count):
 
 def test_tensor_budget_counts_the_tensors_held_at_once(monkeypatch):
     # K3,3's widest tensor alone takes exactly the budget at 128 values, but a
-    # run holds it beside the indicator, the stack and tensordot's copies; the
+    # run holds it beside the other factor, the result and the indicator; the
     # count itself is refused under a budget scaled down to 32 values, so a
     # guard that checked the widest tensor only would run it, not ask for GBs
     g = k33()
     assert 8 * 128 ** _plan(g).widest == _TENSOR_BUDGET
+    assert _program(_plan(g), 128).peak > _TENSOR_BUDGET
     with pytest.raises(GraphError, match="budget"):
-        _check_budget(128, _plan(g).peaks)
+        count_elimination(g, 127)
     monkeypatch.setattr(counting, "_TENSOR_BUDGET", 8 * 32 ** _plan(g).widest)
     tracemalloc.start()
     try:
@@ -259,13 +259,14 @@ def test_tensor_budget_counts_the_tensors_held_at_once(monkeypatch):
 
 @pytest.mark.parametrize("g", [k4(), prism(), k33()], ids=["k4", "prism", "k33"])
 def test_plan_peaks_bound_the_traced_memory(g):
-    # at t = 47 the widest shrinking steps run in slabs and the indicator is
-    # built per call, so each kind of allocation is traced; K3,3 holds five
-    # 4-axis tensors at once (both operands of a growing step, their copies
-    # and its result), where its widest tensor alone is one
+    # at t = 47 the indicator is built per call and the workspace, released
+    # first, is allocated in the count, so both are traced.  K3,3's widest
+    # step holds both 4-axis factors and the result, and nothing else of that
+    # size: no copy of a factor
     t = 47
     assert (t + 1) ** 3 > _INDICATOR_CACHE_MAX
-    bound = 8 * max(sum((t + 1) ** r for r in ranks) for ranks in _plan(g).peaks)
+    bound = _program(_plan(g), t + 1).peak
+    counting._thread.workspace = None
     tracemalloc.start()
     try:
         count = count_elimination(g, t)
@@ -274,6 +275,54 @@ def test_plan_peaks_bound_the_traced_memory(g):
         tracemalloc.stop()
     assert count == verlinde_count(len(g.vertex_ids), t)
     assert 8 * (t + 1) ** _plan(g).widest < peak <= bound
+    if g == k33():
+        # three 48**4 float64 tensors, beside the indicator as float64 and
+        # bool and the run's small allocations
+        assert bound <= 3 * 8 * (t + 1) ** 4 + 9 * (t + 1) ** 3 + counting._RUN_SMALL_BYTES
+
+
+def test_large_workspace_is_released_and_small_one_reused():
+    # K3,3 at t = 47 needs over 64 MiB of workspace, which is released after
+    # the count; at t = 23 it needs 8 MB, which the next count reuses
+    g = k33()
+    assert 8 * _program(_plan(g), 48).size > _TENSOR_BUDGET >> 5
+    assert count_elimination(g, 47) == verlinde_count(6, 47)
+    assert getattr(counting._thread, "workspace", None) is None
+    assert count_elimination(g, 23) == verlinde_count(6, 23)
+    workspace = counting._thread.workspace
+    assert workspace.nbytes == 8 * _program(_plan(g), 24).size
+    tracemalloc.start()
+    try:
+        assert count_elimination(g, 23) == verlinde_count(6, 23)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counting._thread.workspace is workspace
+    assert peak < 2**20
+
+
+def test_threads_count_in_their_own_workspaces():
+    # each thread runs in its own workspace: a shared one would let one
+    # thread's products overwrite the other's tensors
+    jobs = [(g, t) for t in range(15, 21) for g in (k33(), prism())]
+    serial = [count_elimination(g, t) for g, t in jobs]
+    results: dict = {}
+
+    def run(name, order):
+        results[name] = [
+            (k, count_elimination(*jobs[k])) for _ in range(3) for k in order
+        ]
+
+    threads = [
+        threading.Thread(target=run, args=("up", range(len(jobs)))),
+        threading.Thread(target=run, args=("down", range(len(jobs) - 1, -1, -1))),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for got in results.values():
+        assert [count for _, count in got] == [serial[k] for k, _ in got]
 
 
 @pytest.mark.parametrize("tree", [tree_caterpillar_four(), tree_spider_four()],
@@ -286,42 +335,6 @@ def test_nine_edge_trees_match_the_tree_table(tree):
     expect = sum(Fraction(n, d) * t**k for k, (n, d) in enumerate(table["9"]["odd"]))
     assert count_points(tree, t) == expect
 
-
-
-# Counts cannot catch a contraction that pairs the wrong axes: the miswired
-# network is often another graph with the same degree data, hence (by the
-# invariance theorem) the same count.  So the helper is checked on its own.
-@pytest.mark.parametrize(
-    "f_shape,t_ndim,pairs",
-    [
-        ((), 3, []),  # first step
-        ((3, 4, 5), 3, [(0, 1)]),  # grows: one call
-        ((3, 4, 5, 2), 3, [(1, 0), (3, 2)]),  # shrinks, small: one call
-        ((3, 4, 5, 6), 3, [(0, 1), (2, 0)]),  # shrinks, small: one call
-        ((4, 5), 2, [(1, 0), (0, 1)]),  # to a scalar: one call
-        ((16, 16, 16, 16), 3, [(1, 0), (3, 2)]),  # shrinks: slabs along axis 0
-        ((16, 16, 16, 16), 3, [(0, 1), (2, 0)]),  # shrinks: slabs along axis 1
-    ],
-)
-def test_contract_matches_einsum(f_shape, t_ndim, pairs):
-    rng = np.random.default_rng(0)
-    frontier = rng.integers(0, 9, size=f_shape).astype(np.float64)
-    t_shape = [2 + k for k in range(t_ndim)]
-    for fa, ta in pairs:
-        t_shape[ta] = f_shape[fa]
-    tensor = rng.integers(0, 9, size=t_shape).astype(np.float64)
-    f_sub = "abcd"[: len(f_shape)]
-    t_sub = list("wxyz"[:t_ndim])
-    for fa, ta in pairs:
-        t_sub[ta] = f_sub[fa]
-    summed = {f_sub[fa] for fa, _ in pairs}
-    out = "".join(x for x in f_sub + "".join(t_sub) if x not in summed)
-    expect = np.einsum(f"{f_sub},{''.join(t_sub)}->{out}", frontier, tensor)
-    shared = ([fa for fa, _ in pairs], [ta for _, ta in pairs])
-    assert (frontier.size >= _SLAB_MIN_ENTRIES) == (f_shape == (16, 16, 16, 16))
-    got = _contract(frontier, tensor, shared)
-    assert got.shape == expect.shape
-    assert np.array_equal(got, expect)
 
 
 CENSUS = [g for _, group in sorted(connected_13_classes(7).items()) for g in group]
@@ -348,17 +361,31 @@ def test_eliminate_matches_one_einsum(g):
     assert _eliminate(g, ind) == int(expect)
 
 
-# The slab path against one call per step, on a tensor that sees the wiring:
-# at 17 values per slot the widest tensors of these plans have 17**4 >=
-# _SLAB_MIN_ENTRIES entries, so their shrinking steps run in slabs.
-@pytest.mark.parametrize("g", [k4(), prism(), k33()], ids=["k4", "prism", "k33"])
-def test_slabbed_elimination_matches_one_call(g, monkeypatch):
-    assert 17 ** _plan(g).widest >= _SLAB_MIN_ENTRIES
+# Counts cannot catch a program that pairs the wrong axes: the miswired
+# network is often another graph with the same degree data, hence (by the
+# invariance theorem) the same count.  So each program runs on a float64
+# tensor that is not symmetric in its slots, at 17 values, where each plan's
+# widest tensors have 17**4 entries: the products run on transposed views, in
+# batches, and after copies.  Past 2**53 both sides round, so they agree to
+# a relative 1e-12 rather than exactly.  einsum's default path caps every
+# intermediate at the size of an input, which here means one 17**9 loop, so
+# its greedy path runs without that cap.
+@pytest.mark.parametrize(
+    "g", [k4(), prism(), k33(), k_prism(10)], ids=["k4", "prism", "k33", "10-prism"]
+)
+def test_program_matches_one_einsum(g):
     rng = np.random.default_rng(17)
     ind = rng.integers(0, 3, size=(17, 17, 17)).astype(np.float64)
-    slabbed = _eliminate(g, ind)
-    monkeypatch.setattr(counting, "_SLAB_MIN_ENTRIES", 17**6)
-    assert _eliminate(g, ind) == slabbed
+    assert not np.array_equal(ind, ind.transpose(1, 0, 2))
+    assert not np.array_equal(ind, ind.transpose(0, 2, 1))
+    letter = dict(zip(g.edges, string.ascii_letters))
+    cubic = [v for v in sorted(g.vertex_ids) if g.degrees[v] == 3]
+    subscripts = ",".join("".join(letter[e] for e in g.slots(v)) for v in cubic)
+    operands = [subscripts + "->", *[ind] * len(cubic)]
+    path, _ = np.einsum_path(*operands, optimize=("greedy", 2**40))
+    expect = np.einsum(*operands, optimize=path)
+    assert 17 ** _plan(g).widest >= 2**16
+    assert _eliminate(g, ind) == pytest.approx(float(expect), rel=1e-12)
 
 
 def test_plan_widest_frontier():
@@ -431,9 +458,9 @@ def test_slot_indicator_matches_reference(t, kind, strict):
     _shared_indicator.cache_clear()
     for _ in range(2):  # cold, then from the cache
         ind = _slot_indicator(vals, p, q, kind, strict)
-        assert ind.dtype == np.float64
+        assert ind.dtype == bool
         assert np.array_equal(ind, expect)
-        ind[...] = 7  # each call gets its own copy
+        assert not ind.flags.writeable  # shared: every caller reads one tensor
 
 
 def test_shared_indicator_is_read_only():
@@ -448,5 +475,5 @@ def test_large_indicator_is_not_cached():
     before = _shared_indicator.cache_info()
     vals = np.arange(0, t + 1, dtype=np.int64)
     ind = _slot_indicator(vals, t, 1, "membership", False)
-    assert ind.shape == (t + 1,) * 3 and ind.dtype == np.float64
+    assert ind.shape == (t + 1,) * 3 and ind.dtype == bool
     assert _shared_indicator.cache_info() == before
