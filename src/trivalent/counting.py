@@ -74,10 +74,13 @@ _INT64_LIMIT = 2**62
 def _dilation(t, box: str) -> tuple[int, int, int, int]:
     """(p, q, lo, hi) for a dilation t = p/q: the value range lo..hi of one
     coordinate of a lattice point in the t-th dilate of a system with this box."""
-    t = Fraction(t)
-    if t < 0:
+    if isinstance(t, int):  # the common case, without a Fraction
+        p, q = t, 1
+    else:
+        t = Fraction(t)
+        p, q = t.numerator, t.denominator
+    if p < 0:
         raise GraphError("dilation parameter must be nonnegative")
-    p, q = t.numerator, t.denominator
     hi = p // q
     return p, q, (0 if box == "nonneg" else -hi), hi
 
@@ -623,10 +626,14 @@ def _build_plan(g: Graph, tree: Callable[[list[int]], _Merges]) -> _Plan:
 def _plan(g: Graph) -> _Plan:
     """g's contraction plan: exact DP tree while g is small, greedy beyond.
 
+    g is checked by validate_13 here, once per cached plan; lru_cache stores
+    no exception, so an invalid graph raises on every call.
+
     On the benchmark's cubic graphs both give the same widest intermediate
     and nearly the same cost, yet the DP's trees run faster: cubic-qp makes
     5 % more items per second with them (BENCH_16.json).
     """
+    validate_13(g)
     n = sum(1 for v in g.vertex_ids if g.degrees[v] == 3)
     return _build_plan(g, _dp_tree if n <= _DP_MAX_VERTICES else _greedy_tree)
 
@@ -785,12 +792,12 @@ def count_elimination(
     A program whose peak would exceed _TENSOR_BUDGET bytes is refused before
     anything is allocated.
     """
-    validate_13(g)
+    plan = _plan(g)  # validates g
     if kind not in KINDS:
         raise GraphError(f"unknown system kind {kind!r}")
     p, q, lo, hi = _dilation(t, KINDS[kind][1])
     n_vals = hi - lo + 1
-    program = _program(_plan(g), n_vals)
+    program = _program(plan, n_vals)
     if program.peak > _TENSOR_BUDGET:
         raise GraphError(
             f"count too large for memory: its tensors would take "

@@ -1,5 +1,6 @@
 """Small exact linear algebra helpers: integer matrices, one fraction-free
-elimination behind determinants and square solves, and a tableau simplex
+elimination behind determinants and square solves, the same elimination run
+on a whole int64 stack of square systems at once, and a tableau simplex
 specialized to strict-feasibility questions.
 
 Everything here is exact; no floats.
@@ -9,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
+
+import numpy as np
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -100,6 +103,99 @@ def solve_square(m: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] |
         row = a[k]
         y[k] = (det * row[n] - sum(row[j] * y[j] for j in range(k + 1, n))) // row[k]
     return tuple(Fraction(v, det) for v in y)
+
+
+def _within_hadamard_bound(a: np.ndarray) -> bool:
+    """Does max(2, n) * H**2 < 2**63 hold in every layer of a, an
+    (n, n+1, L) int64 stack with layers on the last axis?
+
+    H**2 is the product over the rows of max(1, squared row norm), formed
+    exactly in int64: every partial product stays at most the cap
+    (2**63 - 1) // max(2, n).  A stack with an entry e where
+    (n + 1) * e**2 >= 2**63, whose squared row norms could overflow, fails
+    as well; since e**2 <= H**2, that refuses only stacks within a factor
+    3/2 of the cap.
+    """
+    if a.size == 0:
+        return True
+    n = a.shape[0]
+    if (n + 1) * max(int(a.max()), -int(a.min())) ** 2 >= 2**63:
+        return False
+    cap = (2**63 - 1) // max(2, n)
+    h2 = np.ones(a.shape[2], dtype=np.int64)
+    for row in a:
+        norm2 = np.maximum((row * row).sum(axis=0), 1)
+        if (h2 > cap // norm2).any():
+            return False
+        h2 *= norm2  # at most cap
+    return True
+
+
+def solve_batched(aug: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve every layer of an (L, n, n+1) int64 stack of augmented systems
+    [A | b] at once, by fraction-free (Bareiss) elimination in int64.
+
+    Returns (nonsingular, det, y): a bool mask of the layers whose A is
+    nonsingular, each det(A), and y = det(A) * x for the solution x of
+    A x = b, an integer vector by Cramer's rule.  A singular layer reads
+    det 0 and y 0.  Each layer takes its own row swap at each pivot; a
+    layer with no pivot in some column is singular, and runs on from there
+    as [I | 0].
+
+    No step can overflow.  Let H be the product over the rows of [A | b] of
+    max(1, Euclidean norm): by Hadamard's inequality every minor of the
+    (row-permuted) augmented matrix is at most H in absolute value.  As in
+    _bareiss, every entry after a step is such a minor, so the update
+    pivot * a[i][j] - a[i][k] * a[k][j] stays under 2 H**2 before its exact
+    division by the previous pivot.  In back-substitution every y_j is a
+    minor too (Cramer's rule), so det * b_k - sum_j a[k][j] * y_j is a sum of
+    at most n products of two minors, under n H**2.  Hence max(2, n) * H**2
+    < 2**63 suffices.  It is checked per layer, exactly in int64
+    (_within_hadamard_bound), and a stack past it raises ValueError.
+    """
+    aug = np.asarray(aug)
+    if aug.ndim != 3 or aug.shape[2] != aug.shape[1] + 1:
+        raise ValueError(f"expected an (L, n, n+1) stack, got shape {aug.shape}")
+    size, n, _ = aug.shape
+    # layers on the last axis, so that every operation below runs along
+    # contiguous rows of L entries
+    a = np.ascontiguousarray(aug.transpose(1, 2, 0), dtype=np.int64)
+    if not _within_hadamard_bound(a):
+        raise ValueError("entries too large for an exact int64 elimination")
+    nonsingular = np.ones(size, dtype=bool)
+    sign = np.ones(size, dtype=np.int64)
+    prev = np.ones(size, dtype=np.int64)
+    for k in range(n):
+        nonzero = a[k:, k] != 0
+        singular = ~nonzero.any(axis=0)
+        if singular.any():
+            # [I | 0] from row k keeps every later step of the layer exact
+            # and its entries small; its results are discarded
+            nonsingular &= ~singular
+            a[:, n, singular] = 0
+            a[k:, k:n, singular] = np.eye(n - k, dtype=np.int64)[:, :, None]
+            prev[singular] = 1
+            nonzero[0, singular] = True
+        swap = np.flatnonzero(~nonzero[0])
+        if len(swap):
+            rows = k + nonzero[:, swap].argmax(axis=0)
+            a[k, :, swap], a[rows, :, swap] = a[rows, :, swap], a[k, :, swap]
+            sign[swap] *= -1
+        pivot = a[k, k]
+        for row in a[k + 1 :]:
+            rest = row[k + 1 :]
+            rest *= pivot
+            rest -= row[k] * a[k, k + 1 :]
+            rest //= prev
+        prev = pivot
+
+    # prev is now the last pivot, the permuted determinant (1 when n = 0)
+    y = np.zeros((n, size), dtype=np.int64)
+    for k in reversed(range(n)):
+        rest = (a[k, k + 1 : n] * y[k + 1 :]).sum(axis=0)
+        y[k] = (prev * a[k, n] - rest) // a[k, k]
+    sign[~nonsingular] = 0
+    return nonsingular, sign * prev, (y * sign).T
 
 
 def max_epsilon(

@@ -10,14 +10,18 @@ sign-pattern rows
 
 This module checks reflexivity (interior-point count of (t+1)Q equals the
 closed count of tQ), extracts the h* vector of Q from exact counts, and
-enumerates vertices of Q by solving facet subsystems.
+enumerates vertices of Q by solving every facet subsystem at once in one
+batched fraction-free elimination, each distinct vertex confirmed by an
+exact solve.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb, factorial, lcm
+from itertools import chain, combinations
+from math import comb, factorial
+
+import numpy as np
 
 from . import exactlin
 from .counting import count_elimination
@@ -102,30 +106,58 @@ def hstar_consistent_with_volume(g: Graph, vector: HStarVector, leading: Fractio
 
 
 def vertex_enumeration(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
-    """All vertices of Q, by brute-force facet subsystem solving.
+    """All vertices of Q, sorted: the solutions of its m x m facet
+    subsystems that satisfy every facet row.
 
-    Each m-subset of the distinct facet rows is solved exactly by
-    `exactlin.solve_square`; a solution x = num / den (den the lcm of its
-    denominators, num an integer vector) is a vertex when row . num <= den
-    for every row, a test in integers only.  Repeated rows (from a loop or
-    a parallel pair at one vertex, or two vertices with the same slots) are
-    dropped first: every right-hand side is 1, so a repeat adds no
-    constraint, and a subset that holds one is singular.  Guarded to at most
-    7 edges: the subset count C(4k, m) explodes beyond that, and the
-    acceptance workloads never need more.
+    Repeated rows (from a loop or a parallel pair at one vertex, or two
+    vertices with the same slots) are dropped first: every right-hand side
+    is 1, so a repeat adds no constraint, and a subset that holds one is
+    singular.  Every m-subset of the distinct rows R, with right-hand side
+    1, is one layer of an int64 stack solved at once by
+    `exactlin.solve_batched`, which gives each nonsingular layer's
+    determinant d and y = d x.  Signs are normalised to d > 0, so x is a
+    point of Q exactly when R y <= d row by row, a test in integers.  Each
+    kept [y | d] is divided by its gcd, which makes equal points equal rows,
+    and the distinct rows become Fractions.  Each distinct vertex is then
+    solved again by `exactlin.solve_square` on one of its subsets, an
+    independent exact route; a disagreement raises GraphError.
+
+    Rows have entries in -2..2, so with m <= 7 Hadamard's bound stays under
+    2**10 and the stack is at most C(16, 7) = 11,440 layers (a graph with
+    m <= 7 edges has at most 4 degree-3 vertices, so at most 16 rows).
+    Guarded to at most 7 edges: the subset count C(4k, m) explodes beyond
+    that, and the acceptance workloads never need more.
     """
     system = reflexive_system(g)
     m = len(system.edge_order)
     if m > 7:
         raise GraphError(f"vertex enumeration supports at most 7 edges, got {m}")
     rows = list(dict.fromkeys(row[0] for row in system.rows))
-    vertices: set[tuple[Fraction, ...]] = set()
-    for subset in combinations(rows, m):
-        point = exactlin.solve_square(subset, [1] * m)
-        if point is None:
-            continue
-        den = lcm(*(x.denominator for x in point))
-        num = [x.numerator * (den // x.denominator) for x in point]
-        if all(sum(c * x for c, x in zip(row, num)) <= den for row in rows):
-            vertices.add(point)
+    facets = np.array(rows, dtype=np.int64).reshape(len(rows), m)
+    count = comb(len(rows), m)
+    subsets = np.fromiter(
+        chain.from_iterable(combinations(range(len(rows)), m)), np.intp, count * m
+    ).reshape(count, m)
+    stack = np.ones((count, m, m + 1), dtype=np.int64)
+    for j in range(m):
+        stack[:, j, :m] = facets[subsets[:, j]]
+    nonsingular, det, y = exactlin.solve_batched(stack)
+    flip = det < 0
+    det[flip] *= -1
+    y[flip] *= -1
+    inside = nonsingular
+    for row in facets:
+        inside &= (y * row).sum(axis=1) <= det
+    points = np.concatenate((y, det[:, None]), axis=1)[inside]
+    points //= np.gcd.reduce(points, axis=1)[:, None]
+    defining: dict[tuple[int, ...], list[int]] = {}
+    for point, subset in zip(map(tuple, points.tolist()), subsets[inside].tolist()):
+        defining.setdefault(point, subset)
+
+    vertices = []
+    for (*num, den), subset in defining.items():
+        point = tuple(Fraction(x, den) for x in num)
+        if exactlin.solve_square([rows[i] for i in subset], [1] * m) != point:
+            raise GraphError(f"vertex {point} disagrees with its exact solve")
+        vertices.append(point)
     return tuple(sorted(vertices))

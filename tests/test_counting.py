@@ -477,3 +477,37 @@ def test_large_indicator_is_not_cached():
     ind = _slot_indicator(vals, t, 1, "membership", False)
     assert ind.shape == (t + 1,) * 3 and ind.dtype == bool
     assert _shared_indicator.cache_info() == before
+
+
+def test_invalid_graph_raises_on_every_count():
+    # validate_13 runs where the plan is built and cached; lru_cache keeps no
+    # exception, so a bad graph is refused on each call, not only the first
+    bad = [
+        (make_graph([(1, 1, 2), (2, 2, 3)]), "degree 2"),
+        (make_graph([(1, 1, 2), (2, 1, 3), (3, 1, 4), (4, 5, 6)]), "two degree-1"),
+    ]
+    for g, message in bad:
+        for _ in range(2):
+            with pytest.raises(GraphError, match=message):
+                count_elimination(g, 3)
+            with pytest.raises(GraphError, match=message):
+                count_elimination(g, Fraction(5, 2), kind="reflexive", strict=True)
+        with pytest.raises(GraphError, match=message):
+            _plan(g)
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 2), Fraction(11, 4), Fraction(10, 3)], ids=str)
+def test_rational_dilations_count_as_before(t):
+    # semi_reflexive_check's samples go through _dilation's Fraction path,
+    # and its floors through the int path; both agree with backtracking
+    floor = t.numerator // t.denominator
+    assert _dilation(floor, "nonneg") == _dilation(Fraction(floor), "nonneg")
+    assert _dilation(t, "symmetric") == (t.numerator, t.denominator, -floor, floor)
+    for g in (claw(), theta(), dumbbell(), k4()):
+        sys = inequality_system(g)
+        assert count_elimination(g, t) == count_backtracking(sys, t)
+        assert count_elimination(g, floor) == count_elimination(g, Fraction(floor))
+        assert count_elimination(g, floor) == count_backtracking(sys, floor)
+    for negative in (-1, Fraction(-1, 2)):
+        with pytest.raises(GraphError, match="nonnegative"):
+            count_elimination(claw(), negative)

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
 from trivalent.exactlin import (
     determinant,
     divide_gcd,
@@ -8,6 +11,7 @@ from trivalent.exactlin import (
     matvec,
     max_epsilon,
     primitive,
+    solve_batched,
     solve_square,
 )
 
@@ -68,9 +72,10 @@ def _fraction_determinant(m):
     return det
 
 
-def _random_matrices(rng, n):
-    """Dense, sparse (zero pivots force row swaps) and rank-deficient matrices."""
-    dense = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+def _random_matrices(rng, n, bound=9):
+    """Dense (entries up to bound), sparse (zero pivots force row swaps) and
+    rank-deficient matrices."""
+    dense = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
     sparse = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
     yield dense
     yield sparse
@@ -179,6 +184,135 @@ def test_solve_square_matches_fraction_gauss_jordan():
                 seen["swap"] += n > 0 and m[0][0] == 0 and got is not None
                 seen["rational"] += rational and got is not None
     assert all(seen.values()), seen
+
+
+def _check_batched(systems):
+    """solve_batched on a stack of [A | b] against solve_square and determinant,
+    layer by layer; returns the determinants."""
+    nonsingular, det, y = solve_batched(np.array(systems, dtype=np.int64))
+    for layer, system in enumerate(systems):
+        m = [row[:-1] for row in system]
+        rhs = [row[-1] for row in system]
+        expected = solve_square(m, rhs)
+        assert det[layer] == determinant(tuple(map(tuple, m))), system
+        assert nonsingular[layer] == (expected is not None), system
+        if expected is None:
+            assert det[layer] == 0 and not y[layer].any()
+        else:
+            assert tuple(Fraction(int(v), int(det[layer])) for v in y[layer]) == expected
+    return det
+
+
+def _cycled_triangular(rng, n):
+    """An upper triangular matrix U with a nonzero diagonal, its rows cycled
+    up by one.  Column k has no pivot in row k: after k swaps its only
+    nonzero at or below row k is U's row k, which sits in the last row, so
+    elimination swaps at every pivot but the last."""
+    upper = [
+        [0] * i + [rng.choice((-3, -2, -1, 1, 2, 3))] + [rng.randint(-3, 3) for _ in range(n - i - 1)]
+        for i in range(n)
+    ]
+    return upper[1:] + upper[:1]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_solve_batched_matches_solve_square(n):
+    # dense 7 x 7 systems with entries up to 9 can exceed the overflow
+    # guard's bound, so n = 7 draws entries up to 3
+    rng = random.Random(1968 + n)
+    bound = 9 if n < 7 else 3
+    systems, kinds = [], []
+    for _ in range(40):
+        kinds_of = ("dense", "sparse", "reversed", "singular")
+        for kind, m in zip(kinds_of, _random_matrices(rng, n, bound)):
+            systems.append([row + [rng.randint(-bound, bound)] for row in m])
+            kinds.append(kind)
+        triangular = _cycled_triangular(rng, n)
+        systems.append([row + [rng.randint(-bound, bound)] for row in triangular])
+        kinds.append("swaps")
+    det = _check_batched(systems)  # one mixed stack of every kind
+    assert (det < 0).any() and (det > 0).any()
+    assert (det == 0).any() or n == 1
+    for kind in set(kinds):  # and each kind on its own
+        _check_batched([s for s, k in zip(systems, kinds) if k == kind])
+
+
+def test_solve_batched_swaps_at_every_pivot():
+    # the cyclic permutation matrix: every column but the last takes a swap,
+    # so the determinant is (-1)**(n - 1)
+    for n in range(1, 8):
+        m = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+        rhs = list(range(1, n + 1))
+        det = _check_batched([[row + [r] for row, r in zip(m, rhs)]])
+        assert det[0] == (-1) ** (n - 1)
+
+
+def test_solve_batched_singular_layers():
+    systems = [
+        [[0, 0, 1], [0, 0, 2]],  # zero matrix
+        [[1, 2, 1], [2, 4, 1]],  # dependent rows, inconsistent right-hand side
+        [[1, 2, 1], [2, 4, 2]],  # dependent rows, consistent right-hand side
+        [[0, 1, 1], [0, 3, 1]],  # zero first column: no pivot at step 0
+        [[0, 0, 0], [1, 2, 3]],  # a zero row of [A | b]
+        [[2, 1, 1], [1, 3, 1]],  # nonsingular, among singular neighbours
+    ]
+    nonsingular, det, y = solve_batched(np.array(systems))
+    assert nonsingular.tolist() == [False] * 5 + [True]
+    assert det.tolist() == [0] * 5 + [5]
+    assert y.tolist() == [[0, 0]] * 5 + [[2, 1]]
+    _check_batched(systems)
+
+
+def test_solve_batched_empty_shapes():
+    nonsingular, det, y = solve_batched(np.zeros((3, 0, 1), dtype=np.int64))
+    assert nonsingular.all() and (det == 1).all() and y.shape == (3, 0)
+    nonsingular, det, y = solve_batched(np.zeros((0, 4, 5), dtype=np.int64))
+    assert nonsingular.shape == det.shape == (0,) and y.shape == (0, 4)
+    with pytest.raises(ValueError):
+        solve_batched(np.zeros((2, 3, 3), dtype=np.int64))
+
+
+def test_solve_batched_leaves_its_input_alone():
+    stack = np.array([[[0, 1, 3], [2, 1, 4]], [[1, 1, 1], [1, 1, 1]]])
+    before = stack.copy()
+    solve_batched(stack)
+    assert (stack == before).all()
+
+
+def test_solve_batched_overflow_guard():
+    # Hadamard's bound H is the product of the row norms of [A | b] (a row
+    # under norm 1 counts as 1); the guard needs max(2, n) * H**2 < 2**63
+    n = 4
+    big = 2**15  # each row has norm big * sqrt(2), so H = 2**62
+    stack = np.array([[[big if i == j else 0 for j in range(n)] + [big] for i in range(n)]])
+    with pytest.raises(ValueError):
+        solve_batched(stack)
+    with pytest.raises(ValueError):  # one layer past the bound is enough
+        solve_batched(np.concatenate((np.array([[[1, 0, 0, 0, 1]] * 4]), stack)))
+    # a zero row does not shrink the bound to 0
+    stack[0, 0] = 0
+    with pytest.raises(ValueError):
+        solve_batched(np.concatenate((stack, stack)))
+    # inside: H**2 = 2**56, and 4 * 2**56 < 2**63
+    small = np.array([[[2**7 if i == j else 0 for j in range(n)] + [0] for i in range(n)]])
+    nonsingular, det, y = solve_batched(small)
+    assert nonsingular[0] and det[0] == 2**28 and not y.any()
+    # the check is exact: with n = 1, H**2 = a**2 + b**2 against 2**62 - 1
+    a = 2**31 - 1
+    nonsingular, det, y = solve_batched(np.array([[[a, 2**16 - 1]]]))  # 2**62 - 2**17 + 2
+    assert nonsingular[0] and det[0] == a and y[0, 0] == 2**16 - 1
+    with pytest.raises(ValueError):
+        solve_batched(np.array([[[a, 2**16]]]))  # 2**62 + 1
+    # entries whose squares wrap around in int64 are refused, not wrapped
+    for e in (2**32 + 1, 2**40, 2**62):
+        with pytest.raises(ValueError):
+            solve_batched(np.array([[[e, 0]]]))
+    # entries up to 2**14 in 2 x 3 systems pass the guard (2 * H**2 < 2**61)
+    # and solve exactly
+    rng = random.Random(2**31)
+    limit = 2**14
+    systems = [[[rng.randint(-limit, limit) for _ in range(3)] for _ in range(2)] for _ in range(50)]
+    _check_batched(systems)
 
 
 def test_max_epsilon_feasible():

@@ -1,9 +1,11 @@
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from test_exactlin import _fraction_solve
 
+from trivalent import exactlin
 from trivalent.catalog import claw, connected_13_classes, dumbbell, k4, theta
 from trivalent.counting import count_elimination
 from trivalent.ehrhart import quasi_polynomial
@@ -117,3 +119,75 @@ def test_vertex_enumeration_matches_fraction_loop():
         got = vertex_enumeration(g)
         assert got == _fraction_vertices(g)
         assert all(type(x) is Fraction for v in got for x in v)
+
+
+def _solve_each_subset(g):
+    """Reference: every m-subset of the distinct facet rows solved on its own
+    by exactlin.solve_square, each solution tested against every row in
+    integers."""
+    system = reflexive_system(g)
+    m = len(system.edge_order)
+    rows = list(dict.fromkeys(row[0] for row in system.rows))
+    vertices = set()
+    for subset in combinations(rows, m):
+        point = exactlin.solve_square(subset, [1] * m)
+        if point is None:
+            continue
+        den = lcm(*(x.denominator for x in point))
+        num = [x.numerator * (den // x.denominator) for x in point]
+        if all(sum(c * x for c, x in zip(row, num)) <= den for row in rows):
+            vertices.add(point)
+    return tuple(sorted(vertices))
+
+
+CENSUS = sorted(connected_13_classes(7).items())
+
+
+def test_vertex_enumeration_matches_solving_each_subset():
+    # every class with m = 6, and two with m = 7: the one with the fewest
+    # distinct rows and one with 16, the widest stack (C(16, 7) subsets)
+    graphs = [g for (_, m), group in CENSUS if m == 6 for g in group]
+    sevens = [g for (_, m), group in CENSUS if m == 7 for g in group]
+    widths = [len(set(row[0] for row in reflexive_system(g).rows)) for g in sevens]
+    graphs.append(sevens[widths.index(min(widths))])
+    graphs.append(sevens[widths.index(16)])
+    assert len(graphs) == 10
+    for g in graphs:
+        assert vertex_enumeration(g) == _solve_each_subset(g)
+
+
+def test_every_vertex_of_q_is_integral():
+    # the premise of the quasi-polynomial's period 4 and of reflexivity:
+    # Q = 4P - 1 is a lattice polytope, on every class with m <= 7
+    graphs = [g for _, group in CENSUS for g in group]
+    assert len(graphs) == 28
+    for g in graphs:
+        vertices = vertex_enumeration(g)
+        assert len(vertices) > len(g.edges)  # full-dimensional
+        assert all(x.denominator == 1 for v in vertices for x in v)
+
+
+def test_vertex_enumeration_checks_each_vertex_by_an_exact_solve(monkeypatch):
+    solve_square = exactlin.solve_square
+    calls = []
+
+    def counted(m, rhs):
+        calls.append(m)
+        return solve_square(m, rhs)
+
+    def perturbed(m, rhs):
+        x = counted(m, rhs)
+        return None if x is None else (x[0] + Fraction(1, 2), *x[1:])
+
+    g = theta()
+    expected = vertex_enumeration(g)
+    monkeypatch.setattr(exactlin, "solve_square", perturbed)
+    with pytest.raises(GraphError, match="disagrees"):
+        vertex_enumeration(g)
+    assert len(calls) == 1
+
+    # one exact solve per distinct vertex, none for the other subsets
+    monkeypatch.setattr(exactlin, "solve_square", counted)
+    calls.clear()
+    assert vertex_enumeration(g) == expected
+    assert len(calls) == len(expected)
