@@ -42,7 +42,7 @@ before anything is allocated.
 Work that does not depend on the count is done once.  A graph's plan (the
 tree in postorder, each tensor's axis order and slot) depends only on the
 graph, so _plan is cached per exact Graph, and its spans and shapes at n
-values per axis per (plan, n) in _program.  The vals^3 slot indicator
+values per axis per (graph, n) in _program.  The vals^3 slot indicator
 depends only on the dilation, kind and strictness, so every graph shares one
 read-only bool tensor per (lo, hi, p, q, kind, strict), which a run casts
 into its workspace.  That cache holds up to _INDICATOR_CACHE_SIZE tensors of
@@ -235,7 +235,7 @@ _RUN_SMALL_BYTES = 2**13
 # semi-reflexive checks) come together, so a small cache catches them.
 _PLAN_CACHE_SIZE = 64
 
-# Bound of the program cache, one program per (plan, value count).  A whole
+# Bound of the program cache, one program per (graph, value count).  A whole
 # census-7 pass makes 519 programs and visits them in a cycle, so the cache
 # holds a pass, or it would miss on every call; a program is a few hundred
 # bytes of ints.
@@ -295,11 +295,6 @@ class _Plan(NamedTuple):
     widest: int
     copies: int
     cost: int
-
-    def __hash__(self) -> int:
-        # the program cache hashes a plan on every count; equal plans agree
-        # on these fields, which are cheap to hash
-        return hash((self.ranks, self.result, self.cost, len(self.steps)))
 
 
 def _leaves(g: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -654,13 +649,14 @@ class _Program(NamedTuple):
 
 
 @lru_cache(maxsize=_PROGRAM_CACHE_SIZE)
-def _program(plan: _Plan, n: int) -> _Program:
-    """plan's steps as spans of one workspace at n values per axis.
+def _program(g: Graph, n: int) -> _Program:
+    """g's plan as spans of one workspace at n values per axis.
 
     A span is (first entry, end entry, shape).  Equal numbers and shapes are
     stored once, which halves a program's memory: a census-7 pass keeps 519
     programs.
     """
+    plan = _plan(g)
     stored: dict = {}
 
     def keep(x):
@@ -759,7 +755,7 @@ def _eliminate(g: Graph, ind: np.ndarray, limit: int | None = None) -> int | Non
     With a limit, returns None as soon as a contraction's largest entry
     reaches it.
     """
-    return _run(_program(_plan(g), len(ind)), ind, limit)
+    return _run(_program(g, len(ind)), ind, limit)
 
 
 def _gib(nbytes: int) -> str:
@@ -792,12 +788,11 @@ def count_elimination(
     A program whose peak would exceed _TENSOR_BUDGET bytes is refused before
     anything is allocated.
     """
-    plan = _plan(g)  # validates g
     if kind not in KINDS:
         raise GraphError(f"unknown system kind {kind!r}")
     p, q, lo, hi = _dilation(t, KINDS[kind][1])
     n_vals = hi - lo + 1
-    program = _program(plan, n_vals)
+    program = _program(g, n_vals)  # validates g, through _plan
     if program.peak > _TENSOR_BUDGET:
         raise GraphError(
             f"count too large for memory: its tensors would take "

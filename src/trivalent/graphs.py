@@ -105,34 +105,32 @@ class Graph:
 
     # -- structure ---------------------------------------------------------
 
-    def component_of(self, start: int) -> frozenset[int]:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for _, w in self.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return frozenset(seen)
-
-    def components(self) -> list[frozenset[int]]:
+    @cached_property
+    def components(self) -> tuple[frozenset[int], ...]:
+        """Vertex sets of the connected components, by their lowest vertex."""
         remaining = set(self.vertex_ids)
         out = []
         while remaining:
-            comp = self.component_of(min(remaining))
-            out.append(comp)
-            remaining -= comp
-        return out
+            start = min(remaining)
+            seen = {start}
+            queue = deque([start])
+            while queue:
+                for _, w in self.adjacency[queue.popleft()]:
+                    if w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+            out.append(frozenset(seen))
+            remaining -= seen
+        return tuple(out)
 
     def is_connected(self) -> bool:
-        return len(self.vertex_ids) <= 1 or len(self.components()) == 1
+        return len(self.vertex_ids) <= 1 or len(self.components) == 1
 
     def is_tree(self) -> bool:
         return self.is_connected() and len(self.edge_list) == len(self.vertex_ids) - 1
 
     def cycle_rank(self) -> int:
-        return len(self.edge_list) - len(self.vertex_ids) + len(self.components())
+        return len(self.edge_list) - len(self.vertex_ids) + len(self.components)
 
     # -- rebuilding --------------------------------------------------------
 

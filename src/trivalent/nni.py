@@ -462,9 +462,7 @@ def tree_sequence(t1: Graph, t2: Graph) -> MoveSequence:
         return MoveSequence(())
     mv1, c1 = canonical_caterpillar_sequence(t1)
     mv2, c2 = canonical_caterpillar_sequence(t2)
-    if not same_labeled_graph(c1, c2):
-        raise GraphError("canonical caterpillars differ; input mismatch")
-    phi = _vertex_bijection(c2, c1)
+    phi = _vertex_bijection(c2, c1)  # raises unless c1 and c2 are equal
     back = [
         Trail(t.a, phi[t.v], t.e, phi[t.u], t.b) for t in reversed(mv2)
     ]

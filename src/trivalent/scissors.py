@@ -43,9 +43,9 @@ from .exactlin import (
     matvec,
 )
 from .graphs import Graph, GraphError
-from .nni import MoveSequence, apply_nni
+from .nni import MoveSequence, Trail, apply_nni
 from .polytope import inequality_system
-from .weighted import NniSite, _apply_case, resolve_site, site_normals, weight_delta
+from .weighted import CASES, NniSite, _apply_case, resolve_site, site_normals, weight_delta
 
 WEAK = ">="
 STRICT = "<"
@@ -85,13 +85,6 @@ class Decomposition:
     edge_order: tuple[int, ...]
     pieces: tuple[Piece, ...]
 
-
-_CASE_SENSES = {
-    "A": (WEAK, WEAK),
-    "B": (WEAK, STRICT),
-    "C": (STRICT, WEAK),
-    "D": (STRICT, STRICT),
-}
 
 _DEAD = "dead"
 _SKIP = "skip"
@@ -367,11 +360,12 @@ def _children(
     normals = [(vec, tuple(-x for x in vec)) for vec in (divide_gcd(p1), divide_gcd(p2))]
     present = set(piece.constraints)
     out = []
-    for case, senses in _CASE_SENSES.items():
+    for case, (sides, _, _) in CASES.items():
         constraints = list(piece.constraints)
         existing = present
         dead = False
-        for (vec, neg), sense in zip(normals, senses):
+        for (vec, neg), nonnegative in zip(normals, sides):
+            sense = WEAK if nonnegative else STRICT
             if not any(vec):
                 if sense == STRICT:
                     dead = True  # 0 < 0 never holds
@@ -386,10 +380,18 @@ def _children(
                 existing = present | {(vec, sense)}
         if dead:
             continue
-        wa, wb = senses
-        witness_here = ((s1 >= 0) == (wa == WEAK)) and ((s2 >= 0) == (wb == WEAK))
+        witness_here = (s1 >= 0, s2 >= 0) == sides
         out.append((constraints, case, piece.witness if witness_here else None))
     return out
+
+
+def _sites(g: Graph, moves: Iterable[Trail]) -> tuple[list[NniSite], Graph]:
+    """The site of each move on the graph it applies to, and the last graph."""
+    sites = []
+    for trail in moves:
+        sites.append(resolve_site(g, trail))
+        g = apply_nni(g, trail)
+    return sites, g
 
 
 # pieces whose children share one batched LP: a larger batch spreads each
@@ -411,9 +413,8 @@ def build_decomposition(g: Graph, seq: MoveSequence) -> Decomposition:
     # all-ones weights satisfy every metric row with slack, so they are a
     # valid starting witness for the unconstrained root piece
     pieces: list[Piece] = [Piece((), identity(m), (1,) * m)]
-    current = g
-    for trail in seq.moves:
-        site = resolve_site(current, trail)
+    sites, target = _sites(g, seq.moves)
+    for site in sites:
         terms1, terms2 = (
             [(i, c) for i, c in enumerate(h) if c] for h in site_normals(site, edge_order)
         )
@@ -440,10 +441,9 @@ def build_decomposition(g: Graph, seq: MoveSequence) -> Decomposition:
                     )
                 )
         pieces = next_pieces
-        current = apply_nni(current, trail)
     return Decomposition(
         source=g,
-        target=current,
+        target=target,
         moves=seq,
         edge_order=edge_order,
         pieces=tuple(pieces),
@@ -551,11 +551,7 @@ def verify_decomposition(d: Decomposition, dilations: Iterable[int]) -> Verifica
 
     # replaying the moves on the graph once pins the site of every move;
     # per-point replay is then pure weight arithmetic
-    sites: list[NniSite] = []
-    cur = d.source
-    for trail in d.moves.moves:
-        sites.append(resolve_site(cur, trail))
-        cur = apply_nni(cur, trail)
+    sites, _ = _sites(d.source, d.moves.moves)
 
     matrices = _int64_guarded([p.matrix for p in d.pieces], (-1, m, m))
     # pieces share most of their rows: each distinct normal is stored once

@@ -20,6 +20,10 @@ The max expression splits into four linear cases on the sign pattern of
     h1 <  0, h2 >= 0  (case C):  w'_e = w_e + w_b - w_a
     h1 <  0, h2 <  0  (case D):  w'_e = w_e + w_d - w_c
 
+HYPERPLANES and CASES below hold this table; everything that reads a case
+(case_of, case_delta, case_matrix, site_normals, scissors) reads it there,
+while weight_delta keeps the max formula the table is tested against.
+
 Each case is a unimodular matrix (identity with the pivot row replaced); the
 four agree on the boundary hyperplanes h1 = 0 and h2 = 0.  When the four slot
 edges coincide in pairs the hyperplanes degenerate: a = c and b = d forces
@@ -47,6 +51,26 @@ class NniSite:
     trail: Trail
     c: int
     d: int
+
+    @property
+    def slots(self) -> tuple[int, int, int, int]:
+        """The edges in the slots a, b, c, d, in that order."""
+        return self.trail.a, self.trail.b, self.c, self.d
+
+
+# positions in NniSite.slots
+_a, _b, _c, _d = range(4)
+
+# h1 and h2, each as (slots added, slots subtracted)
+HYPERPLANES = (((_a, _c), (_b, _d)), ((_a, _d), (_b, _c)))
+
+# case: ((h1 >= 0, h2 >= 0), slot added to w_e, slot subtracted from w_e)
+CASES = {
+    "A": ((True, True), _c, _d),
+    "B": ((True, False), _a, _b),
+    "C": ((False, True), _b, _a),
+    "D": ((False, False), _d, _c),
+}
 
 
 def as_weighting(g: Graph, values: Mapping[int, object] | Sequence[object]) -> Weighting:
@@ -107,10 +131,7 @@ def weight_delta(site: NniSite, w: Mapping[int, Fraction]) -> Fraction:
 def apply_weighted_nni(
     g: Graph, w: Mapping[int, Fraction], trail: Trail
 ) -> tuple[Graph, Weighting]:
-    site = resolve_site(g, trail)
-    out = {e: Fraction(x) for e, x in w.items()}
-    out[trail.e] = out[trail.e] + weight_delta(site, out)
-    return apply_nni(g, trail), out
+    return replay_weighted(g, w, (trail,))
 
 
 def replay_weighted(
@@ -118,41 +139,22 @@ def replay_weighted(
 ) -> tuple[Graph, Weighting]:
     out = {e: Fraction(x) for e, x in w.items()}
     for trail in moves:
-        g, out = apply_weighted_nni(g, out, trail)
+        site = resolve_site(g, trail)
+        out[trail.e] += weight_delta(site, out)
+        g = apply_nni(g, trail)
     return g, out
 
 
 def case_of(site: NniSite, w: Mapping[int, Fraction]) -> str:
     """Which linear case A/B/C/D applies to weighting w at this site."""
-    wa, wb = w[site.trail.a], w[site.trail.b]
-    wc, wd = w[site.c], w[site.d]
-    h1 = wa + wc - wb - wd
-    h2 = wa + wd - wb - wc
-    if h1 >= 0:
-        return "A" if h2 >= 0 else "B"
-    return "C" if h2 >= 0 else "D"
-
-
-_CASE_INCREMENT = {
-    "A": ("c", "d"),
-    "B": ("a", "b"),
-    "C": ("b", "a"),
-    "D": ("d", "c"),
-}
-
-
-def _slot_id(site: NniSite, name: str) -> int:
-    return {
-        "a": site.trail.a,
-        "b": site.trail.b,
-        "c": site.c,
-        "d": site.d,
-    }[name]
+    x = [w[e] for e in site.slots]
+    sides = tuple(x[p] + x[q] - x[r] - x[s] >= 0 for (p, q), (r, s) in HYPERPLANES)
+    return next(case for case, (case_sides, _, _) in CASES.items() if case_sides == sides)
 
 
 def case_delta(site: NniSite, case: str, w: Mapping[int, Fraction]) -> Fraction:
-    plus, minus = _CASE_INCREMENT[case]
-    return w[_slot_id(site, plus)] - w[_slot_id(site, minus)]
+    _, plus, minus = CASES[case]
+    return w[site.slots[plus]] - w[site.slots[minus]]
 
 
 def case_matrix(
@@ -172,13 +174,12 @@ def _apply_case(
     matrix: IntMatrix, site: NniSite, case: str, idx: Mapping[int, int]
 ) -> IntMatrix:
     """Row update equal to case_matrix(site, case) @ matrix, done in O(m)."""
-    plus, minus = _CASE_INCREMENT[case]
+    _, plus, minus = CASES[case]
+    slots = site.slots
     e_i = idx[site.trail.e]
     urow = tuple(
         p + q - r
-        for p, q, r in zip(
-            matrix[e_i], matrix[idx[_slot_id(site, plus)]], matrix[idx[_slot_id(site, minus)]]
-        )
+        for p, q, r in zip(matrix[e_i], matrix[idx[slots[plus]]], matrix[idx[slots[minus]]])
     )
     return tuple(urow if i == e_i else row for i, row in enumerate(matrix))
 
@@ -193,14 +194,14 @@ def site_normals(
     a degenerate hyperplane).
     """
     idx = {eid: i for i, eid in enumerate(edge_order)}
-    a, b, c, d = site.trail.a, site.trail.b, site.c, site.d
+    slots = site.slots
     out = []
-    for pos, neg in (((a, c), (b, d)), ((a, d), (b, c))):
+    for pos, neg in HYPERPLANES:
         vec = [0] * len(edge_order)
-        for e in pos:
-            vec[idx[e]] += 1
-        for e in neg:
-            vec[idx[e]] -= 1
+        for k in pos:
+            vec[idx[slots[k]]] += 1
+        for k in neg:
+            vec[idx[slots[k]]] -= 1
         out.append(tuple(vec))
     return out[0], out[1]
 

@@ -243,7 +243,7 @@ def test_tensor_budget_counts_the_tensors_held_at_once(monkeypatch):
     # guard that checked the widest tensor only would run it, not ask for GBs
     g = k33()
     assert 8 * 128 ** _plan(g).widest == _TENSOR_BUDGET
-    assert _program(_plan(g), 128).peak > _TENSOR_BUDGET
+    assert _program(g, 128).peak > _TENSOR_BUDGET
     with pytest.raises(GraphError, match="budget"):
         count_elimination(g, 127)
     monkeypatch.setattr(counting, "_TENSOR_BUDGET", 8 * 32 ** _plan(g).widest)
@@ -265,7 +265,7 @@ def test_plan_peaks_bound_the_traced_memory(g):
     # size: no copy of a factor
     t = 47
     assert (t + 1) ** 3 > _INDICATOR_CACHE_MAX
-    bound = _program(_plan(g), t + 1).peak
+    bound = _program(g, t + 1).peak
     counting._thread.workspace = None
     tracemalloc.start()
     try:
@@ -285,12 +285,12 @@ def test_large_workspace_is_released_and_small_one_reused():
     # K3,3 at t = 47 needs over 64 MiB of workspace, which is released after
     # the count; at t = 23 it needs 8 MB, which the next count reuses
     g = k33()
-    assert 8 * _program(_plan(g), 48).size > _TENSOR_BUDGET >> 5
+    assert 8 * _program(g, 48).size > _TENSOR_BUDGET >> 5
     assert count_elimination(g, 47) == verlinde_count(6, 47)
     assert getattr(counting._thread, "workspace", None) is None
     assert count_elimination(g, 23) == verlinde_count(6, 23)
     workspace = counting._thread.workspace
-    assert workspace.nbytes == 8 * _program(_plan(g), 24).size
+    assert workspace.nbytes == 8 * _program(g, 24).size
     tracemalloc.start()
     try:
         assert count_elimination(g, 23) == verlinde_count(6, 23)

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from trivalent.catalog import dumbbell, theta
 from trivalent.exactlin import determinant
 from trivalent.graphs import make_graph, same_labeled_graph
-from trivalent.nni import Trail
+from trivalent.nni import Trail, graph_sequence
+from trivalent.scissors import build_decomposition, verify_decomposition
 from trivalent.weighted import (
+    CASES,
     apply_weighted_nni,
     as_weighting,
     case_matrix,
@@ -81,6 +83,28 @@ def test_replay_weighted_matches_single_step():
     h, w2 = replay_weighted(g, w, [Trail(1, 1, 3, 2, 2)])
     assert same_labeled_graph(h, dumbbell())
     assert w2[3] == 0
+
+
+@pytest.mark.parametrize("swapped", [False, True], ids=["table", "b-c-swapped"])
+def test_swapping_cases_b_and_c_is_caught(monkeypatch, swapped):
+    # every reader of the case table sees the swap: the decomposition's piece
+    # matrices and case_delta then disagree with the max formula
+    if swapped:
+        (b_sides, b_plus, b_minus), (c_sides, c_plus, c_minus) = CASES["B"], CASES["C"]
+        monkeypatch.setitem(CASES, "B", (b_sides, c_plus, c_minus))
+        monkeypatch.setitem(CASES, "C", (c_sides, b_plus, b_minus))
+    g = theta()
+    d = build_decomposition(g, graph_sequence(g, dumbbell()))
+    report = verify_decomposition(d, range(5))
+    assert all(check.matches_replay for check in report.dilations) is not swapped
+    # w_1 < w_2 puts the move in case B
+    trail, w = Trail(1, 1, 3, 2, 2), [Fraction(0), Fraction(1), Fraction(1)]
+    assert case_of(resolve_site(g, trail), dict(zip(g.edges, w))) == "B"
+    if swapped:
+        with pytest.raises(AssertionError):
+            check_piecewise_matches_max(g, trail, w)
+    else:
+        check_piecewise_matches_max(g, trail, w)
 
 
 @st.composite
