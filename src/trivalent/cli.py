@@ -555,11 +555,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         # GraphError subclasses ValueError: failed mathematical precondition
-        if isinstance(exc, GraphError):
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, GraphError) else 2
 
 
 if __name__ == "__main__":

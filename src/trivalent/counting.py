@@ -177,18 +177,18 @@ _INDICATOR_CACHE_MAX = 2**16
 
 
 def _slot_indicator(
-    vals: np.ndarray, p: int, q: int, kind: str, strict: bool
+    lo: int, hi: int, p: int, q: int, kind: str, strict: bool
 ) -> np.ndarray:
-    """0/1 bool tensor over vals^3: the rows of KINDS[kind] for one vertex, on
-    its three slot values, at the dilation p/q.  vals is the range lo..hi.
+    """0/1 bool tensor over vals^3, vals the range lo..hi: the rows of
+    KINDS[kind] for one vertex, on its three slot values, at the dilation p/q.
 
     A vertex whose slots repeat an edge (a loop) takes the diagonal of this
     tensor, so one tensor serves every degree-3 vertex of a graph.  Up to
     _INDICATOR_CACHE_MAX entries the tensor is shared and read-only; larger
     ones are built per call.
     """
-    key = (int(vals[0]), int(vals[-1]), p, q, kind, strict)
-    if len(vals) ** 3 > _INDICATOR_CACHE_MAX:
+    key = (lo, hi, p, q, kind, strict)
+    if (hi - lo + 1) ** 3 > _INDICATOR_CACHE_MAX:
         return _bool_indicator(*key)
     return _shared_indicator(*key)
 
@@ -282,10 +282,7 @@ class _Plan(NamedTuple):
       axes, row axes, column axes, False).  At most one factor has a batch
       axis; the other is used for every matrix of the batch.
 
-    widest is the most axes any tensor has, copies the number of tensors
-    copied into a new axis order (leaves included), and cost the flops plus
-    the bytes copied and the weight of batches (see _layout), at
-    _PLAN_VALUES values per axis.
+    widest is the most axes any tensor has.
     """
 
     steps: tuple
@@ -293,8 +290,6 @@ class _Plan(NamedTuple):
     ind: int | None
     result: int | None
     widest: int
-    copies: int
-    cost: int
 
 
 def _leaves(g: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -419,12 +414,11 @@ def _layout(
     leaves: list[tuple[tuple[int, ...], tuple[int, ...]]],
     merges: _Merges,
     nodes: list[frozenset[int]],
-) -> tuple[list, list, list, int]:
+) -> tuple[list, list, list]:
     """For each node of the tree, the axis order it is computed in and the
     order it is used in (another order costs a copy), and for each merge
     (whether its first child is the left factor, the first child's form, the
-    second's); chosen for the lowest cost in copies and batches, which is
-    returned too.
+    second's); chosen for the lowest cost in copies and batches.
 
     A merge is one matrix product when both children hold their shared axes
     as one block at one end, in the same order: each child is then a 2-D
@@ -480,10 +474,9 @@ def _layout(
     computed: list = [None] * len(nodes)
     used: list = [None] * len(nodes)
     forms: list = [None] * len(nodes)
-    cost = 0
     if nodes:
         root = len(nodes) - 1
-        computed[root], (cost, _) = min(tables[root].items(), key=lambda kv: kv[1][0])
+        computed[root] = min(tables[root].items(), key=lambda kv: kv[1][0])[0]
         used[root] = computed[root]
         for k in range(root, n_leaves - 1, -1):  # parents before children
             i, j = merges[k - n_leaves]
@@ -491,7 +484,7 @@ def _layout(
                 tables[k][computed[k]][1]
             )
             forms[k] = (i_left, fi, fj)
-    return computed, used, forms, cost
+    return computed, used, forms
 
 
 def _build_plan(g: Graph, tree: Callable[[list[int]], _Merges]) -> _Plan:
@@ -511,7 +504,7 @@ def _build_plan(g: Graph, tree: Callable[[list[int]], _Merges]) -> _Plan:
     nodes = [frozenset(axes) for _, axes in leaves]
     for i, j in merges:
         nodes.append(nodes[i] ^ nodes[j])
-    computed, used, forms, moved = _layout(leaves, merges, nodes)
+    computed, used, forms = _layout(leaves, merges, nodes)
     n_leaves = len(leaves)
     view = [k < n_leaves and _is_view(*leaves[k]) and used[k] == leaves[k][0]
             for k in range(len(nodes))]
@@ -530,7 +523,6 @@ def _build_plan(g: Graph, tree: Callable[[list[int]], _Merges]) -> _Plan:
 
     buffers = [[3, -1, -1]]  # rank, first and last step; 0 is the indicator
     steps: list = []
-    flops = copies = 0
 
     def new(rank: int) -> int:
         buffers.append([rank, len(steps), len(steps)])
@@ -541,7 +533,6 @@ def _build_plan(g: Graph, tree: Callable[[list[int]], _Merges]) -> _Plan:
             buffers[b][2] = len(steps)
 
     def emit(k: int) -> int:
-        nonlocal flops, copies
         if view[k]:
             return 0
         if k < n_leaves:
@@ -549,7 +540,6 @@ def _build_plan(g: Graph, tree: Callable[[list[int]], _Merges]) -> _Plan:
             read(0)
             out = new(len(axes))
             steps.append(("leaf", _script(slots, used[k]), out, len(axes)))
-            copies += _is_view(slots, axes)
             return out
         i, j = merges[k - n_leaves]
         a, b = first[k - n_leaves]
@@ -572,13 +562,11 @@ def _build_plan(g: Graph, tree: Callable[[list[int]], _Merges]) -> _Plan:
             (held_buf[right], len(br), *rrc, not r_first),
             (out, len(bl) + len(br), len(rl), len(rr), False),
         ))
-        flops += _PLAN_VALUES ** (len(bl) + len(br) + len(rl) + ks + len(rr))
         if used[k] != computed[k]:
             read(out)
             src, out = out, new(len(nodes[k]))
             perm = tuple(computed[k].index(e) for e in used[k])
             steps.append(("copy", src, perm, out, len(nodes[k])))
-            copies += 1
         return out
 
     result = emit(len(nodes) - 1) if nodes else None
@@ -612,8 +600,6 @@ def _build_plan(g: Graph, tree: Callable[[list[int]], _Merges]) -> _Plan:
         ind=slot_of[0] if nodes else None,
         result=None if result is None else slot_of[result],
         widest=max(map(len, nodes), default=0),
-        copies=copies,
-        cost=flops + moved,
     )
 
 
@@ -749,15 +735,6 @@ def _run(program: _Program, ind: np.ndarray, limit: int | None = None) -> int | 
             _thread.workspace = None
 
 
-def _eliminate(g: Graph, ind: np.ndarray, limit: int | None = None) -> int | None:
-    """Contract g's network, one copy of ind per degree-3 vertex, by its plan.
-
-    With a limit, returns None as soon as a contraction's largest entry
-    reaches it.
-    """
-    return _run(_program(g, len(ind)), ind, limit)
-
-
 def _gib(nbytes: int) -> str:
     """nbytes in GiB to three significant digits, or as a power of two past
     2**60 bytes, where the digits would run long."""
@@ -799,7 +776,7 @@ def count_elimination(
             f"{_gib(program.peak)} at once, over the {_gib(_TENSOR_BUDGET)} budget"
         )
     bound = n_vals ** len(g.edges)
-    ind = _slot_indicator(np.arange(lo, hi + 1, dtype=np.int64), p, q, kind, strict)
+    ind = _slot_indicator(lo, hi, p, q, kind, strict)
     count = _run(program, ind, _FLOAT_EXACT if bound >= _FLOAT_EXACT else None)
     if count is not None:
         return count
@@ -812,8 +789,7 @@ def count_elimination(
 
 def count_tree_dp(g: Graph, t) -> int:
     """Exact count for a {1,3}-tree: count_elimination, once g is known to be
-    one."""
-    validate_13(g)
+    one (count_elimination validates it)."""
     if not g.is_tree():
         raise GraphError("count_tree_dp expects a tree")
     return count_elimination(g, t)

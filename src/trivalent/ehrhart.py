@@ -209,17 +209,6 @@ def verlinde_count(n: int, t: int) -> int:
     raise GraphError("interval evaluation failed to certify an integer")
 
 
-def _bernoulli_numbers(upto: int) -> list[Fraction]:
-    """B_0..B_upto with B_1 = -1/2 (only even indices are used downstream)."""
-    out = [Fraction(1)]
-    for mth in range(1, upto + 1):
-        acc = Fraction(0)
-        for j in range(mth):
-            acc += Fraction(comb(mth + 1, j)) * out[j]
-        out.append(-acc / (mth + 1))
-    return out
-
-
 def _x_over_sin_powers(n: int) -> list[Fraction]:
     """Coefficients of (x / sin x)^n up to x^n (even powers only, ascending)."""
     order = n + 2
@@ -259,12 +248,12 @@ def zagier_polynomial(n: int) -> tuple[Fraction, ...]:
     if n < 2 or n % 2:
         raise GraphError("n must be an even integer >= 2")
     series = _x_over_sin_powers(n)
-    bern = _bernoulli_numbers(n + 1)
     # polynomial in s = t + 2, degree n/2 + n over 2^(n+1)
     s_poly = [Fraction(0)] * (3 * n // 2 + 1)
     for k in range(n // 2 + 1):
         ck = series[n - 2 * k]
-        coef = Fraction((-1) ** (k - 1) * 4**k) * bern[2 * k] / factorial(2 * k) * ck
+        bern = Fraction(*mpmath.bernfrac(2 * k))
+        coef = Fraction((-1) ** (k - 1) * 4**k) * bern / factorial(2 * k) * ck
         s_poly[n // 2 + 2 * k] += coef / 2 ** (n + 1)
     # substitute s = t + 2
     out = [Fraction(0)] * len(s_poly)
@@ -290,8 +279,7 @@ def volume_check(g: Graph, qp: QuasiPolynomial | None = None) -> VolumeReport:
     if qp is None:
         qp = quasi_polynomial(g)
     m = len(g.edges)
-    bern = _bernoulli_numbers(n + 1)
-    expected = abs(bern[n]) / (2 * factorial(n))
+    expected = abs(Fraction(*mpmath.bernfrac(n))) / (2 * factorial(n))
     leading = tuple(
         coeffs[m] if len(coeffs) > m else Fraction(0) for coeffs in qp.constituents
     )

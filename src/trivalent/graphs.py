@@ -85,7 +85,7 @@ class Graph:
 
     def incident_edges(self, v: int) -> tuple[int, ...]:
         """Distinct edge ids at v, sorted (a loop appears once)."""
-        return tuple(sorted({e for e, _ in self.adjacency[v]}))
+        return tuple(dict.fromkeys(self.slots(v)))
 
     def other_end(self, e: int, v: int) -> int:
         u, w = self.endpoints(e)
@@ -94,14 +94,6 @@ class Graph:
         if v == w:
             return u
         raise GraphError(f"edge {e} is not incident to vertex {v}")
-
-    @cached_property
-    def max_edge_id(self) -> int:
-        return max((e for e, _, _ in self.edge_list), default=0)
-
-    @cached_property
-    def max_vertex_id(self) -> int:
-        return max(self.vertex_ids, default=0)
 
     # -- structure ---------------------------------------------------------
 
@@ -143,10 +135,6 @@ class Graph:
             (mapping.get(e, e), u, v) for e, u, v in self.edge_list
         )
         return Graph(self.vertex_ids, tuple(new_list))
-
-    def signature_multiset(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted multiset of per-vertex slot multisets (isolated vertices as ())."""
-        return tuple(sorted(self._slot_map.values()))
 
 
 def make_graph(
@@ -274,7 +262,7 @@ def same_labeled_graph(a: Graph, b: Graph) -> bool:
     """
     if set(a.edges) != set(b.edges):
         return False
-    return a.signature_multiset() == b.signature_multiset()
+    return sorted(a._slot_map.values()) == sorted(b._slot_map.values())
 
 
 # -- trees, cycles, cutting --------------------------------------------------
@@ -344,8 +332,8 @@ def cut_edge(g: Graph, e: int) -> tuple[Graph, tuple[int, int]]:
     if not on_cycle(g, e):
         raise GraphError(f"edge {e} is not on a cycle; cutting would disconnect")
     u, v = g.endpoints(e)
-    m = g.max_edge_id
-    nv = g.max_vertex_id
+    m = max(g.edges, default=0)
+    nv = max(g.vertex_ids, default=0)
     e1, e2 = m + 1, m + 2
     l1, l2 = nv + 1, nv + 2
     edges = [(eid, a, b) for eid, a, b in g.edge_list if eid != e]

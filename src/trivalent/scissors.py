@@ -114,15 +114,16 @@ def _classify_constraint(
     return _ADD
 
 
-def _cone_rows(g: Graph) -> list[tuple[tuple[int, ...], int]]:
-    """Homogeneous rows of the polytope system (the metric cone).
+def _cone_rows(g: Graph) -> list[tuple[int, ...]]:
+    """Normals of the homogeneous rows of the polytope system (the metric
+    cone), each row reading normal . x <= 0.
 
     Perimeter rows have positive right-hand sides and scale away, so strict
     feasibility inside the polytope equals strict feasibility in this cone
     intersected with the orthant.
     """
     base = inequality_system(g)
-    return [(row[0], 0) for row in base.rows if row[1] == 0 and row[2] == 0]
+    return [row[0] for row in base.rows if row[1] == 0 and row[2] == 0]
 
 
 def _float_lps(
@@ -275,7 +276,7 @@ def _dot(vec: Sequence[int], x: Sequence[int]) -> int:
 
 def _certify(
     children: Sequence[Sequence[Constraint]],
-    cone: list[tuple[tuple[int, ...], int]],
+    cone: list[tuple[int, ...]],
     m: int,
 ) -> list[tuple[int, ...] | None]:
     """An integer point of each half-open cone inside the body, or None where
@@ -287,7 +288,6 @@ def _certify(
     its own in integer arithmetic.  Only when neither certificate validates
     does the exact simplex run; its point is scaled to integers the same way.
     """
-    cone_vecs = [vec for vec, _ in cone]
     # the children of a group share most of their weak rows
     negated = {
         vec: tuple(-x for x in vec)
@@ -296,7 +296,7 @@ def _certify(
     problems = []
     for constraints in children:
         strict = [vec for vec, sense in constraints if sense == STRICT]
-        weak = cone_vecs + [negated[vec] for vec, sense in constraints if sense == WEAK]
+        weak = cone + [negated[vec] for vec, sense in constraints if sense == WEAK]
         problems.append((weak, strict))
     rays = iter(_rays(_float_lps([p for p in problems if p[1]], m)))
     # without a strict row the origin qualifies

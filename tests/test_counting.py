@@ -29,10 +29,10 @@ from trivalent.counting import (
     _build_plan,
     _dilation,
     _dp_tree,
-    _eliminate,
     _greedy_tree,
     _plan,
     _program,
+    _run,
     _shared_indicator,
     _slot_indicator,
     count_backtracking,
@@ -358,7 +358,7 @@ def test_eliminate_matches_one_einsum(g):
     cubic = [v for v in sorted(g.vertex_ids) if g.degrees[v] == 3]
     subscripts = ",".join("".join(letter[e] for e in g.slots(v)) for v in cubic)
     expect = np.einsum(subscripts + "->", *[ind] * len(cubic), optimize=True)
-    assert _eliminate(g, ind) == int(expect)
+    assert _run(_program(g, len(ind)), ind) == int(expect)
 
 
 # Counts cannot catch a program that pairs the wrong axes: the miswired
@@ -385,7 +385,7 @@ def test_program_matches_one_einsum(g):
     path, _ = np.einsum_path(*operands, optimize=("greedy", 2**40))
     expect = np.einsum(*operands, optimize=path)
     assert 17 ** _plan(g).widest >= 2**16
-    assert _eliminate(g, ind) == pytest.approx(float(expect), rel=1e-12)
+    assert _run(_program(g, len(ind)), ind) == pytest.approx(float(expect), rel=1e-12)
 
 
 def test_plan_widest_frontier():
@@ -407,7 +407,7 @@ def test_dp_and_greedy_trees_agree(g, monkeypatch):
     for name, plan in (("dp", dp), ("greedy", greedy)):
         monkeypatch.setattr(counting, "_plan", lambda g, plan=plan: plan)
         counts[name] = [count_elimination(g, t) for t in (0, 1, 2, 5, Fraction(7, 2))]
-        counts[name].append(_eliminate(g, ind))
+        counts[name].append(_run(_program(g, len(ind)), ind))
     assert counts["dp"] == counts["greedy"]
 
 
@@ -453,11 +453,10 @@ def _reference_indicator(t, kind, strict):
 @pytest.mark.parametrize("strict", [False, True], ids=["closed", "strict"])
 def test_slot_indicator_matches_reference(t, kind, strict):
     p, q, lo, hi = _dilation(t, KINDS[kind][1])
-    vals = np.arange(lo, hi + 1, dtype=np.int64)
     expect = _reference_indicator(t, kind, strict)
     _shared_indicator.cache_clear()
     for _ in range(2):  # cold, then from the cache
-        ind = _slot_indicator(vals, p, q, kind, strict)
+        ind = _slot_indicator(lo, hi, p, q, kind, strict)
         assert ind.dtype == bool
         assert np.array_equal(ind, expect)
         assert not ind.flags.writeable  # shared: every caller reads one tensor
@@ -473,17 +472,19 @@ def test_large_indicator_is_not_cached():
     t = 45
     assert (t + 1) ** 3 > _INDICATOR_CACHE_MAX
     before = _shared_indicator.cache_info()
-    vals = np.arange(0, t + 1, dtype=np.int64)
-    ind = _slot_indicator(vals, t, 1, "membership", False)
+    ind = _slot_indicator(0, t, t, 1, "membership", False)
     assert ind.shape == (t + 1,) * 3 and ind.dtype == bool
     assert _shared_indicator.cache_info() == before
 
 
 def test_invalid_graph_raises_on_every_count():
     # validate_13 runs where the plan is built and cached; lru_cache keeps no
-    # exception, so a bad graph is refused on each call, not only the first
+    # exception, so a bad graph is refused on each call, not only the first;
+    # count_tree_dp relies on it too, and the degree-2 path is a tree
+    path = make_graph([(1, 1, 2), (2, 2, 3)])
+    assert path.is_tree()
     bad = [
-        (make_graph([(1, 1, 2), (2, 2, 3)]), "degree 2"),
+        (path, "degree 2"),
         (make_graph([(1, 1, 2), (2, 1, 3), (3, 1, 4), (4, 5, 6)]), "two degree-1"),
     ]
     for g, message in bad:
@@ -492,6 +493,9 @@ def test_invalid_graph_raises_on_every_count():
                 count_elimination(g, 3)
             with pytest.raises(GraphError, match=message):
                 count_elimination(g, Fraction(5, 2), kind="reflexive", strict=True)
+            if g is path:
+                with pytest.raises(GraphError, match=message):
+                    count_tree_dp(g, 3)
         with pytest.raises(GraphError, match=message):
             _plan(g)
 

@@ -1,6 +1,7 @@
 """Quasi-polynomials, the trigonometric count, and the Bernoulli closed form."""
 import random
 from fractions import Fraction
+from math import comb
 
 import mpmath
 import pytest
@@ -239,6 +240,21 @@ def test_zagier_polynomial_frozen():
     assert zagier_polynomial(4) == (
         F(1, 8), F(13, 40), F(469, 1440), F(1, 6), F(7, 144), F(1, 120), F(1, 1440),
     )
+
+
+def _bernoulli_numbers(upto):
+    """B_0..B_upto with B_1 = -1/2, from sum_j C(m+1, j) B_j = 0."""
+    out = [F(1)]
+    for m in range(1, upto + 1):
+        out.append(-sum(comb(m + 1, j) * out[j] for j in range(m)) / F(m + 1))
+    return out
+
+
+def test_bernfrac_matches_the_recurrence():
+    # zagier_polynomial and volume_check read B_n from mpmath.bernfrac
+    expect = _bernoulli_numbers(40)
+    assert expect[1] == F(-1, 2) and expect[12] == F(-691, 2730)
+    assert [F(*mpmath.bernfrac(n)) for n in range(41)] == expect
 
 
 def test_zagier_agrees_with_verlinde():

@@ -15,7 +15,17 @@ from trivalent.graphs import (
     spanning_tree,
     validate_13,
 )
-from trivalent.catalog import claw, dumbbell, k4, lollipop, theta
+from trivalent.catalog import (
+    claw,
+    connected_13_classes,
+    dumbbell,
+    k4,
+    lollipop,
+    t4,
+    theta,
+    tree_caterpillar_four,
+    tree_spider_four,
+)
 
 CLAW_TEXT = """\
 # star with three leaves
@@ -87,6 +97,37 @@ def test_same_labeled_graph_ignores_vertex_names():
     assert same_labeled_graph(a, c)  # leaves are interchangeable
     d = theta()
     assert not same_labeled_graph(a, d)
+
+
+# the census classes and the named graphs; theta, dumbbell, lollipop and t4
+# carry loops and parallel edges
+VIEW_GRAPHS = [
+    *(g for _, group in sorted(connected_13_classes(7).items()) for g in group),
+    claw(), theta(), dumbbell(), k4(), t4(), lollipop(),
+    tree_caterpillar_four(), tree_spider_four(),
+]
+
+
+def test_incident_edges_as_distinct_sorted_adjacency():
+    for g in VIEW_GRAPHS:
+        for v in g.vertex_ids:
+            assert g.incident_edges(v) == tuple(sorted({e for e, _ in g.adjacency[v]}))
+
+
+def test_same_labeled_graph_compares_slot_multisets():
+    def renamed(g):  # the same labeled graph on vertex ids reversed
+        top = max(g.vertex_ids) + 1
+        return make_graph([(e, top - u, top - v) for e, u, v in g.edge_list])
+
+    def multisets(g):
+        return sorted(g.slots(v) for v in g.vertex_ids)
+
+    graphs = VIEW_GRAPHS + [renamed(g) for g in VIEW_GRAPHS]
+    for a in graphs:
+        for b in graphs:
+            expect = set(a.edges) == set(b.edges) and multisets(a) == multisets(b)
+            assert same_labeled_graph(a, b) == expect
+    assert all(same_labeled_graph(g, renamed(g)) for g in VIEW_GRAPHS)
 
 
 def test_spanning_tree_frozen_choices():

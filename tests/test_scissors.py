@@ -217,7 +217,7 @@ def _satisfies(constraints, cone, x) -> bool:
     def dot(vec):
         return sum(c * v for c, v in zip(vec, x))
 
-    weak = [vec for vec, _ in cone] + [tuple(-c for c in vec) for vec, s in constraints if s == WEAK]
+    weak = cone + [tuple(-c for c in vec) for vec, s in constraints if s == WEAK]
     strict = [vec for vec, s in constraints if s == STRICT]
     return all(dot(vec) <= 0 for vec in weak) and all(dot(vec) < 0 for vec in strict)
 
@@ -298,7 +298,7 @@ def test_rays_match_round_on_edge_cases(monkeypatch, values, ray):
     if not any(ray):
         # the zero vector certifies nothing, so the exact simplex decides
         monkeypatch.setattr(scissors, "max_epsilon", _no_simplex)
-        weak = [vec for vec, _ in scissors._cone_rows(theta())]
+        weak = scissors._cone_rows(theta())
         with pytest.raises(AssertionError, match="exact simplex"):
             scissors._validate(weak, [(-1, 1, 0)], (True, ray), 3)
 

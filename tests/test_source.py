@@ -124,6 +124,62 @@ def test_no_unbounded_caches(path):
     assert unbounded_caches(path.read_text()) == []
 
 
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes (one leading underscore)
+    whose name no other top-level statement of any module reads, as
+    module.name.  A read is a name, an attribute or an imported name; a
+    definition's reads of itself (recursion) do not count."""
+    defined = []
+    reads: dict[str, set] = {}  # name -> (module, statement index) reading it
+    for module, source in sources.items():
+        for k, top in enumerate(ast.parse(source).body):
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and (
+                top.name.startswith("_") and not top.name.startswith("__")
+            ):
+                defined.append((module, k, top.name))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                reads.setdefault(name, set()).add((module, k))
+    return sorted(
+        f"{module}.{name}"
+        for module, k, name in defined
+        if not reads.get(name, set()) - {(module, k)}
+    )
+
+
+def test_unreferenced_privates_detector():
+    sources = {
+        "a": (
+            "def _called(): pass\n"
+            "def _recursive(n): return _recursive(n - 1) if n else 0\n"
+            "class _Unused: pass\n"
+            "def _imported(): pass\n"
+            "def _attribute(): pass\n"
+            "def __getattr__(name): pass\n"
+            "def public(): return _called()\n"
+        ),
+        "b": (
+            "from .a import _imported\n"
+            "from . import a\n"
+            "x = a._attribute\n"
+            "def _dead(): pass\n"
+        ),
+    }
+    assert unreferenced_privates(sources) == ["a._Unused", "a._recursive", "b._dead"]
+
+
+def test_no_unreferenced_privates():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unreferenced_privates(sources) == []
+
+
 def _bench_names(name: str):
     """A constant assigned in perfbench/layers.py, read from its syntax tree."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
