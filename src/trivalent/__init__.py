@@ -54,7 +54,7 @@ from .nni import (
     reverse_sequence,
     tree_sequence,
 )
-from .polytope import InequalitySystem, contains, inequality_system, reflexive_system
+from .polytope import InequalitySystem, contains, inequality_system
 from .reflexive import HStarVector, h_star, reflexivity_check, vertex_enumeration
 from .scissors import (
     Decomposition,
@@ -118,7 +118,6 @@ __all__ = [
     "make_graph",
     "parse_graph",
     "quasi_polynomial",
-    "reflexive_system",
     "reflexivity_check",
     "replay",
     "replay_weighted",

@@ -12,9 +12,10 @@ One tensor route and its oracle:
   pruning (the search iter_lattice_points expands into points).  Slow but
   straightforward; serves as the independent reference oracle.
 
-The tensor route evaluates the rows of polytope.KINDS on one vertex's slot
-values.  Rational dilation parameters are handled exactly by clearing
-denominators; all comparisons happen in integers.
+The tensor route evaluates the rows of polytope.LOCAL_ROWS on one vertex's
+slot values, each over 0..floor(t/2), the range the rows allow.  Rational
+dilation parameters are handled exactly by clearing denominators; all
+comparisons happen in integers.
 
 count_elimination runs a contraction tree: each leaf is one degree-3
 vertex's copy of the slot indicator (pendants and loops summed in), each
@@ -43,12 +44,12 @@ Work that does not depend on the count is done once.  A graph's plan (the
 tree in postorder, each tensor's axis order and slot) depends only on the
 graph, so _plan is cached per exact Graph, and its spans and shapes at n
 values per axis per (graph, n) in _program.  The vals^3 slot indicator
-depends only on the dilation, kind and strictness, so every graph shares one
-read-only bool tensor per (lo, hi, p, q, kind, strict), which a run casts
+depends only on the dilation and strictness, so every graph shares one
+read-only bool tensor per (p, q, hi, strict), which a run casts
 into its workspace.  That cache holds up to _INDICATOR_CACHE_SIZE tensors of
 at most _INDICATOR_CACHE_MAX bytes each (at most 8 MiB, and far less in
 practice: a full quasi-polynomial sweep of a 9-edge graph holds 44 tensors,
-about 0.14 MB in all); larger tensors are built per call, so a big t never
+about 19 KB in all); larger tensors are built per call, so a big t never
 pins memory.
 """
 from __future__ import annotations
@@ -63,7 +64,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .graphs import Graph, GraphError, validate_13
-from .polytope import KINDS, SIGN_PATTERNS, InequalitySystem, inequality_system
+from .polytope import LOCAL_ROWS, InequalitySystem, inequality_system
 
 # Bounds of exact float64 arithmetic and of the int64 rerun: every tensor
 # entry counts at most len(vals)**m assignments.
@@ -71,9 +72,9 @@ _FLOAT_EXACT = 2**53
 _INT64_LIMIT = 2**62
 
 
-def _dilation(t, box: str) -> tuple[int, int, int, int]:
-    """(p, q, lo, hi) for a dilation t = p/q: the value range lo..hi of one
-    coordinate of a lattice point in the t-th dilate of a system with this box."""
+def _dilation(t) -> tuple[int, int, int]:
+    """(p, q, hi) for a dilation t = p/q: a coordinate of a lattice point of
+    the t-th dilate lies in 0..hi, as 2w <= t (see polytope)."""
     if isinstance(t, int):  # the common case, without a Fraction
         p, q = t, 1
     else:
@@ -81,8 +82,7 @@ def _dilation(t, box: str) -> tuple[int, int, int, int]:
         p, q = t.numerator, t.denominator
     if p < 0:
         raise GraphError("dilation parameter must be nonnegative")
-    hi = p // q
-    return p, q, (0 if box == "nonneg" else -hi), hi
+    return p, q, p // (2 * q)
 
 
 # The most bytes a count may hold at once: its program's workspace beside the
@@ -103,9 +103,9 @@ def _last_ranges(
     Rows are scaled by q, so every comparison is in integers; strict=True
     lowers every right-hand side by one, which in integers is strictness.
     """
-    p, q, lo, hi = _dilation(t, sys.box)
-    coeff = [tuple(c * q for c in coeffs) for coeffs, _, _ in sys.rows]
-    rhs = [alpha * p + beta * q - int(strict) for _, alpha, beta in sys.rows]
+    p, q, hi = _dilation(t)
+    coeff = [tuple(c * q for c in coeffs) for coeffs, _ in sys.rows]
+    rhs = [alpha * p - int(strict) for _, alpha in sys.rows]
     m = len(sys.edge_order)
     if m == 0:
         if all(r >= 0 for r in rhs):
@@ -118,12 +118,12 @@ def _last_ranges(
     for j in range(m - 1, -1, -1):
         for r in range(nrows):
             c = coeff[r][j]
-            minrest[j][r] = minrest[j + 1][r] + min(c * lo, c * hi)
+            minrest[j][r] = minrest[j + 1][r] + min(0, c * hi)
 
     def descend(
         j: int, prefix: tuple[int, ...], partial: list[int]
     ) -> Iterator[tuple[tuple[int, ...], int, int]]:
-        xlo, xhi = lo, hi
+        xlo, xhi = 0, hi
         for r in range(nrows):
             c = coeff[r][j]
             room = rhs[r] - partial[r] - minrest[j + 1][r]
@@ -168,51 +168,42 @@ def iter_lattice_points(sys: InequalitySystem, t) -> Iterator[tuple[int, ...]]:
 # Bounds of the indicator cache.  Strict keys share it with closed ones: the
 # prism's quasi-polynomial visits 44 keys (closed t <= 22, strict s <= 21), a
 # whole census-7 pass (quasi-polynomials, h*, reflexivity and semi-reflexive
-# counts of all 28 graphs) 59, and quasi_polynomial visits them in a cycle,
+# counts of all 28 graphs) 49, and quasi_polynomial visits them in a cycle,
 # so the cache must hold a whole sweep or it misses on every call.  Tensors
-# above _INDICATOR_CACHE_MAX bytes (len(vals) > 40: membership t >= 40,
-# reflexive t >= 20) are not cached.
+# above _INDICATOR_CACHE_MAX bytes (len(vals) > 40: t >= 80) are not cached.
 _INDICATOR_CACHE_SIZE = 128
 _INDICATOR_CACHE_MAX = 2**16
 
 
-def _slot_indicator(
-    lo: int, hi: int, p: int, q: int, kind: str, strict: bool
-) -> np.ndarray:
-    """0/1 bool tensor over vals^3, vals the range lo..hi: the rows of
-    KINDS[kind] for one vertex, on its three slot values, at the dilation p/q.
+def _slot_indicator(p: int, q: int, hi: int, strict: bool) -> np.ndarray:
+    """0/1 bool tensor over vals^3, vals the range 0..hi: the rows of
+    LOCAL_ROWS for one vertex, on its three slot values, at the dilation p/q.
 
     A vertex whose slots repeat an edge (a loop) takes the diagonal of this
     tensor, so one tensor serves every degree-3 vertex of a graph.  Up to
     _INDICATOR_CACHE_MAX entries the tensor is shared and read-only; larger
     ones are built per call.
     """
-    key = (lo, hi, p, q, kind, strict)
-    if (hi - lo + 1) ** 3 > _INDICATOR_CACHE_MAX:
+    key = (p, q, hi, strict)
+    if (hi + 1) ** 3 > _INDICATOR_CACHE_MAX:
         return _bool_indicator(*key)
     return _shared_indicator(*key)
 
 
-def _bool_indicator(
-    lo: int, hi: int, p: int, q: int, kind: str, strict: bool
-) -> np.ndarray:
-    bounds, _ = KINDS[kind]
-    vals = np.arange(lo, hi + 1, dtype=np.int64)
+def _bool_indicator(p: int, q: int, hi: int, strict: bool) -> np.ndarray:
+    vals = np.arange(hi + 1, dtype=np.int64)
     slots = (q * vals[:, None, None], q * vals[None, :, None], q * vals[None, None, :])
     ind = np.ones((len(vals),) * 3, dtype=bool)
-    for pattern, (alpha, beta) in zip(SIGN_PATTERNS, bounds):
+    for pattern, alpha in LOCAL_ROWS:
         row = sum(sign * x for sign, x in zip(pattern, slots))
-        bound = alpha * p + beta * q
-        ind &= (row < bound) if strict else (row <= bound)
+        ind &= (row < alpha * p) if strict else (row <= alpha * p)
     return ind
 
 
 @lru_cache(maxsize=_INDICATOR_CACHE_SIZE)
-def _shared_indicator(
-    lo: int, hi: int, p: int, q: int, kind: str, strict: bool
-) -> np.ndarray:
+def _shared_indicator(p: int, q: int, hi: int, strict: bool) -> np.ndarray:
     """_bool_indicator, cached and read-only: every caller shares it."""
-    ind = _bool_indicator(lo, hi, p, q, kind, strict)
+    ind = _bool_indicator(p, q, hi, strict)
     ind.flags.writeable = False
     return ind
 
@@ -236,7 +227,7 @@ _RUN_SMALL_BYTES = 2**13
 _PLAN_CACHE_SIZE = 64
 
 # Bound of the program cache, one program per (graph, value count).  A whole
-# census-7 pass makes 519 programs and visits them in a cycle, so the cache
+# census-7 pass makes 339 programs and visits them in a cycle, so the cache
 # holds a pass, or it would miss on every call; a program is a few hundred
 # bytes of ints.
 _PROGRAM_CACHE_SIZE = 1024
@@ -639,7 +630,7 @@ def _program(g: Graph, n: int) -> _Program:
     """g's plan as spans of one workspace at n values per axis.
 
     A span is (first entry, end entry, shape).  Equal numbers and shapes are
-    stored once, which halves a program's memory: a census-7 pass keeps 519
+    stored once, which halves a program's memory: a census-7 pass keeps 339
     programs.
     """
     plan = _plan(g)
@@ -743,13 +734,10 @@ def _gib(nbytes: int) -> str:
     return f"{nbytes / 2**30:.3g} GiB"
 
 
-def count_elimination(
-    g: Graph, t, kind: str = "membership", strict: bool = False
-) -> int:
-    """Count lattice points of the t-th dilate by contracting g's network.
+def count_elimination(g: Graph, t, strict: bool = False) -> int:
+    """Count lattice points of the graph polytope's t-th dilate by contracting
+    g's network.
 
-    kind="membership" counts the graph polytope; kind="reflexive" counts the
-    dilates of the reflexive candidate (variables range over [-t, t]).
     strict=True counts strict interiors.  Works for any graph accepted by
     validate_13, including graphs with loops, parallel edges and cycles.
 
@@ -765,10 +753,8 @@ def count_elimination(
     A program whose peak would exceed _TENSOR_BUDGET bytes is refused before
     anything is allocated.
     """
-    if kind not in KINDS:
-        raise GraphError(f"unknown system kind {kind!r}")
-    p, q, lo, hi = _dilation(t, KINDS[kind][1])
-    n_vals = hi - lo + 1
+    p, q, hi = _dilation(t)
+    n_vals = hi + 1
     program = _program(g, n_vals)  # validates g, through _plan
     if program.peak > _TENSOR_BUDGET:
         raise GraphError(
@@ -776,7 +762,7 @@ def count_elimination(
             f"{_gib(program.peak)} at once, over the {_gib(_TENSOR_BUDGET)} budget"
         )
     bound = n_vals ** len(g.edges)
-    ind = _slot_indicator(lo, hi, p, q, kind, strict)
+    ind = _slot_indicator(p, q, hi, strict)
     count = _run(program, ind, _FLOAT_EXACT if bound >= _FLOAT_EXACT else None)
     if count is not None:
         return count
@@ -802,7 +788,7 @@ def count_points(g: Graph, t, method: str = "auto") -> int:
     if method == "tree-dp":
         return count_tree_dp(g, t)
     if method == "elimination":
-        return count_elimination(g, t, kind="membership")
+        return count_elimination(g, t)
     if method == "backtracking":
         return count_backtracking(inequality_system(g), t)
     raise GraphError(f"unknown counting method {method!r}")

@@ -11,7 +11,8 @@ Ehrhart-Macdonald reciprocity (Macdonald 1971; Beck and Robins, Computing the
 Continuous Discretely, ch. 4) gives L(-s) = (-1)^m |int(sP) cap Z^m| for a
 rational polytope P of full dimension m, and the interior is a strict count.
 A window of nodes centred on t = 0 reaches about half the largest dilation of
-one starting at t = r, and on a 9-edge cubic graph a count costs about t^5.
+one starting at t = r, and on a 9-edge cubic graph a count costs about
+(t/2)^5.
 """
 from __future__ import annotations
 

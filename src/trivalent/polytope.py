@@ -1,4 +1,4 @@
-"""Edge-weight inequality systems attached to a graph.
+"""The inequality system of a graph polytope P_G.
 
 Every row comes from one local system per degree-3 vertex v with slot
 multiset {a, b, c} (a loop occupies two slots): the four sign patterns
@@ -6,18 +6,20 @@ multiset {a, b, c} (a loop occupies two slots): the four sign patterns
     +w_a + w_b + w_c      +w_a - w_b - w_c
     -w_a + w_b - w_c      -w_a - w_b + w_c
 
-each bounded by alpha*t + beta, with (alpha, beta) fixed per pattern by the
-kind of system (the table KINDS below).
+the perimeter row bounded by t and the three metric rows (w_a <= w_b + w_c,
+one per slot instance) by 0 (the table LOCAL_ROWS below).
 
-* "membership", the graph polytope P_G: the perimeter row is bounded by t and
-  the three metric rows (w_a <= w_b + w_c, one per slot instance) by 0.  It
-  sits inside [0, t]^E because every edge touches a degree-3 vertex.
-* "reflexive", the candidate Q = 4 P_G - 1 obtained by scaling the
-  unit-dilation polytope by 4 and centering it at the all-ones/4 point: all
-  four rows are bounded by t, so the t-th dilate tQ lives in [-t, t]^E.
+The rows bound every coordinate.  Two metric rows at v add up to 2 w_c >= 0,
+and a metric row plus the perimeter row to 2 w_a <= t; every edge touches a
+degree-3 vertex, so a lattice point of the t-th dilate lies in
+[0, floor(t/2)]^E.
 
-Rows are stored as (coeffs, alpha, beta) meaning
-sum_i coeffs_i * w_i <= alpha*t + beta.
+The reflexive body Q = 4 P_G - 1 needs no rows of its own: tQ is 4t P_G
+moved by the integer vector -t*1, so it is counted as P_G at 4t.  Written
+in Q's coordinates v = 4w - 1, a row c.w <= alpha reads c.v <= 4 alpha -
+sum(c), and the right-hand side is 1 for all four patterns.
+
+Rows are stored as (coeffs, alpha) meaning sum_i coeffs_i * w_i <= alpha*t.
 """
 from __future__ import annotations
 
@@ -27,39 +29,27 @@ from typing import Mapping, Sequence
 
 from .graphs import Graph, GraphError, validate_13
 
-Row = tuple[tuple[int, ...], int, int]
+Row = tuple[tuple[int, ...], int]
 
-SIGN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
-
-# kind -> ((alpha, beta) for each of SIGN_PATTERNS, box)
-KINDS = {
-    "membership": (((1, 0), (0, 0), (0, 0), (0, 0)), "nonneg"),
-    "reflexive": (((1, 0),) * 4, "symmetric"),
-}
+# (signs on the slots (a, b, c), alpha) of one vertex's four rows
+LOCAL_ROWS = (((1, 1, 1), 1), ((1, -1, -1), 0), ((-1, 1, -1), 0), ((-1, -1, 1), 0))
 
 
 @dataclass(frozen=True)
 class InequalitySystem:
-    """Rows sum(c*w) <= alpha*t + beta over variables in edge_order.
-
-    box is "nonneg" (solutions of the t-th dilate lie in [0, t]^E) or
-    "symmetric" (in [-t, t]^E); it steers lattice enumeration only, the
-    bounds being implied by the rows.
-    """
+    """Rows sum(c*w) <= alpha*t over variables in edge_order."""
 
     edge_order: tuple[int, ...]
     rows: tuple[Row, ...]
-    box: str = "nonneg"
 
 
-def _system(g: Graph, kind: str) -> InequalitySystem:
-    """The rows of KINDS[kind], vertices in ascending id order, each vertex's
-    four rows in the order of SIGN_PATTERNS.
+def inequality_system(g: Graph) -> InequalitySystem:
+    """The rows of LOCAL_ROWS, vertices in ascending id order: per degree-3
+    vertex the perimeter row, then one metric row per slot instance.
 
     Coefficients are built additively, so a loop's two slots add up.
     """
     validate_13(g)
-    bounds, box = KINDS[kind]
     order = g.edges
     idx = {e: i for i, e in enumerate(order)}
     rows: list[Row] = []
@@ -67,23 +57,12 @@ def _system(g: Graph, kind: str) -> InequalitySystem:
         if g.degrees[v] != 3:
             continue
         slots = g.slots(v)
-        for pattern, (alpha, beta) in zip(SIGN_PATTERNS, bounds):
+        for pattern, alpha in LOCAL_ROWS:
             vec = [0] * len(order)
             for sign, s in zip(pattern, slots):
                 vec[idx[s]] += sign
-            rows.append((tuple(vec), alpha, beta))
-    return InequalitySystem(order, tuple(rows), box)
-
-
-def inequality_system(g: Graph) -> InequalitySystem:
-    """Membership rows of the graph polytope: per degree-3 vertex the
-    perimeter row, then one metric row per slot instance."""
-    return _system(g, "membership")
-
-
-def reflexive_system(g: Graph) -> InequalitySystem:
-    """Rows of the reflexive candidate: 4 sign-pattern rows per degree-3 vertex."""
-    return _system(g, "reflexive")
+            rows.append((tuple(vec), alpha))
+    return InequalitySystem(order, tuple(rows))
 
 
 def contains(sys: InequalitySystem, w: Mapping[int, Fraction] | Sequence, t) -> bool:
@@ -95,7 +74,7 @@ def contains(sys: InequalitySystem, w: Mapping[int, Fraction] | Sequence, t) -> 
         vec = [Fraction(x) for x in w]
         if len(vec) != len(sys.edge_order):
             raise GraphError("weight vector length does not match edge count")
-    for coeffs, alpha, beta in sys.rows:
-        if sum(c * x for c, x in zip(coeffs, vec)) > alpha * t + beta:
+    for coeffs, alpha in sys.rows:
+        if sum(c * x for c, x in zip(coeffs, vec)) > alpha * t:
             return False
     return True

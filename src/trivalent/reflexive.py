@@ -8,6 +8,10 @@ sign-pattern rows
     +w_a + w_b + w_c <= 1      +w_a - w_b - w_c <= 1
     -w_a + w_b - w_c <= 1      -w_a - w_b + w_c <= 1
 
+These are the rows of P_G's system in the coordinates v = 4w - 1 (see
+polytope), and tQ is 4t P_G moved by the integer vector -t*1, so every count
+of Q is a count of P_G at 4t.
+
 This module checks reflexivity (interior-point count of (t+1)Q equals the
 closed count of tQ), extracts the h* vector of Q from exact counts, and
 enumerates vertices of Q by solving every facet subsystem at once in one
@@ -26,7 +30,7 @@ import numpy as np
 from . import exactlin
 from .counting import count_elimination
 from .graphs import Graph, GraphError
-from .polytope import reflexive_system
+from .polytope import inequality_system
 
 
 @dataclass(frozen=True)
@@ -48,13 +52,14 @@ def reflexivity_check(g: Graph, t_max: int = 3) -> ReflexivityReport:
 
     Equality for all t (Ehrhart reciprocity's fingerprint of a reflexive
     polytope) is reported; the t = 0 row asserts the origin is the unique
-    interior lattice point of Q itself.
+    interior lattice point of Q itself.  Both counts are of P at 4t and
+    4t + 4.
     """
     rows = []
     ok = True
     for t in range(t_max + 1):
-        closed = count_elimination(g, t, kind="reflexive")
-        interior = count_elimination(g, t + 1, kind="reflexive", strict=True)
+        closed = count_elimination(g, 4 * t)
+        interior = count_elimination(g, 4 * t + 4, strict=True)
         rows.append(DilationCounts(t=t, closed=closed, interior_next=interior))
         ok = ok and closed == interior
     return ReflexivityReport(t_max=t_max, counts=tuple(rows), ok=ok)
@@ -78,14 +83,15 @@ class HStarVector:
 
 
 def h_star(g: Graph) -> HStarVector:
-    """h* vector of Q from exact lattice-point counts at dilations 0..m.
+    """h* vector of Q from exact lattice-point counts at dilations 0..m,
+    |jQ ∩ Z^m| being the count of P at 4j.
 
     Solves sum_k h_k * C(j + m - k, m) = |jQ ∩ Z^m| triangularly; raises if
     the counts are not consistent with integer coefficients (they always are
     for a lattice polytope, so a failure flags a counting bug).
     """
     m = len(g.edges)
-    ehrhart = [count_elimination(g, j, kind="reflexive") for j in range(m + 1)]
+    ehrhart = [count_elimination(g, 4 * j) for j in range(m + 1)]
     coeffs: list[int] = []
     for j, value in enumerate(ehrhart):
         acc = value - sum(coeffs[k] * comb(j + m - k, m) for k in range(j))
@@ -109,18 +115,19 @@ def vertex_enumeration(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
     """All vertices of Q, sorted: the solutions of its m x m facet
     subsystems that satisfy every facet row.
 
-    Repeated rows (from a loop or a parallel pair at one vertex, or two
-    vertices with the same slots) are dropped first: every right-hand side
-    is 1, so a repeat adds no constraint, and a subset that holds one is
-    singular.  Every m-subset of the distinct rows R, with right-hand side
-    1, is one layer of an int64 stack solved at once by
-    `exactlin.solve_batched`, which gives each nonsingular layer's
-    determinant d and y = d x.  Signs are normalised to d > 0, so x is a
-    point of Q exactly when R y <= d row by row, a test in integers.  Each
-    kept [y | d] is divided by its gcd, which makes equal points equal rows,
-    and the distinct rows become Fractions.  Each distinct vertex is then
-    solved again by `exactlin.solve_square` on one of its subsets, an
-    independent exact route; a disagreement raises GraphError.
+    Q's facet rows are the coefficient vectors of P's rows, each with
+    right-hand side 1.  Repeated rows (from a loop or a parallel pair at one
+    vertex, or two vertices with the same slots) are dropped first: a repeat
+    adds no constraint, and a subset that holds one is singular.  Every
+    m-subset of the distinct rows R, with right-hand side 1, is one layer of
+    an int64 stack solved at once by `exactlin.solve_batched`, which gives
+    each nonsingular layer's determinant d and y = d x.  Signs are
+    normalised to d > 0, so x is a point of Q exactly when R y <= d row by
+    row, a test in integers.  Each kept [y | d] is divided by its gcd, which
+    makes equal points equal rows, and the distinct rows become Fractions.
+    Each distinct vertex is then solved again by `exactlin.solve_square` on
+    one of its subsets, an independent exact route; a disagreement raises
+    GraphError.
 
     Rows have entries in -2..2, so with m <= 7 Hadamard's bound stays under
     2**10 and the stack is at most C(16, 7) = 11,440 layers (a graph with
@@ -128,7 +135,7 @@ def vertex_enumeration(g: Graph) -> tuple[tuple[Fraction, ...], ...]:
     Guarded to at most 7 edges: the subset count C(4k, m) explodes beyond
     that, and the acceptance workloads never need more.
     """
-    system = reflexive_system(g)
+    system = inequality_system(g)
     m = len(system.edge_order)
     if m > 7:
         raise GraphError(f"vertex enumeration supports at most 7 edges, got {m}")

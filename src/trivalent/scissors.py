@@ -123,7 +123,7 @@ def _cone_rows(g: Graph) -> list[tuple[int, ...]]:
     intersected with the orthant.
     """
     base = inequality_system(g)
-    return [row[0] for row in base.rows if row[1] == 0 and row[2] == 0]
+    return [coeffs for coeffs, alpha in base.rows if alpha == 0]
 
 
 def _float_lps(

@@ -259,7 +259,7 @@ def test_out_of_memory_is_an_error_line():
 def test_budget_refusal_is_one_short_line():
     # at t = 1e400 the need in bytes has about 1,600 digits; it prints as a
     # power of two, and a need below 2**60 bytes in GiB
-    for t, need in (("1e400", "about 2**"), ("200", "12.4 GiB")):
+    for t, need in (("1e400", "about 2**"), ("400", "12.4 GiB")):
         result = run_module("ehrhart", "count", "k4", "-t", t)
         assert result.returncode == 1
         lines = result.stderr.splitlines()
@@ -277,6 +277,39 @@ def test_reflexive_hstar(capsys):
     payload = run_json(capsys, "reflexive", "hstar", "claw")
     assert payload["coefficients"] == [1, 7, 7, 1]
     assert payload["palindromic"] is True
+
+
+# Q's closed counts at t = 0..3 (each equal to the interior count at t + 1)
+# and h* vectors, as literals: `reflexive check` and `reflexive hstar` must
+# print exactly these
+PINNED_Q_COUNTS = {
+    "claw": [1, 11, 45, 119], "theta": [1, 11, 45, 119], "dumbbell": [1, 11, 45, 119],
+    "lollipop": [1, 5, 13, 25], "k4": [1, 49, 785, 5537], "t4": [1, 49, 785, 5537],
+}
+PINNED_H_STAR = {
+    "claw": [1, 7, 7, 1], "theta": [1, 7, 7, 1], "dumbbell": [1, 7, 7, 1],
+    "lollipop": [1, 2, 1], "k4": [1, 42, 463, 1036, 463, 42, 1],
+    "t4": [1, 42, 463, 1036, 463, 42, 1],
+}
+
+
+@pytest.mark.parametrize("name", PINNED_Q_COUNTS)
+def test_reflexive_cli_output_is_pinned(capsys, name):
+    check = run_json(capsys, "reflexive", "check", name, "--t-max", "3")
+    assert check == {
+        "counts": [
+            {"closed": c, "interior_next": c, "t": t}
+            for t, c in enumerate(PINNED_Q_COUNTS[name])
+        ],
+        "ok": True,
+    }
+    coefficients = PINNED_H_STAR[name]
+    assert run_json(capsys, "reflexive", "hstar", name) == {
+        "coefficients": coefficients,
+        "nonnegative": True,
+        "normalized_volume": sum(coefficients),
+        "palindromic": True,
+    }
 
 
 def test_reflexive_vertices(capsys):

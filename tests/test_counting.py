@@ -1,5 +1,6 @@
 """Cross-checks between the tensor counting route and the backtracking oracle."""
 import json
+import math
 import string
 import threading
 import tracemalloc
@@ -43,7 +44,7 @@ from trivalent.counting import (
 )
 from trivalent.ehrhart import verlinde_count
 from trivalent.graphs import GraphError, make_graph
-from trivalent.polytope import KINDS, SIGN_PATTERNS, inequality_system, reflexive_system
+from trivalent.polytope import LOCAL_ROWS, inequality_system
 
 
 def prism():
@@ -114,40 +115,66 @@ def test_strict_counting():
     )
 
 
-def _box_points(sys, t, strict=False):
-    """Reference: every point of the box, in lexicographic order, kept when it
-    satisfies each row (strictly, with strict=True)."""
-    m = len(sys.edge_order)
-    lo = 0 if sys.box == "nonneg" else -t
-    box = np.array(list(product(range(lo, t + 1), repeat=m)), dtype=np.int64)
-    coeffs = np.array([c for c, _, _ in sys.rows], dtype=np.int64)
-    bound = np.array([alpha * t + beta for _, alpha, beta in sys.rows], dtype=np.int64)
-    lhs = box @ coeffs.T
+def _box_points(coeffs, bounds, values, strict=False):
+    """Reference: every point of values^m, in lexicographic order, kept when
+    it satisfies each row coeffs . w <= bound (strictly, with strict=True)."""
+    m = len(coeffs[0])
+    axes = np.meshgrid(*[np.array(values, dtype=np.int64)] * m, indexing="ij")
+    box = np.stack(axes, axis=-1).reshape(-1, m)
+    lhs = box @ np.array(coeffs, dtype=np.int64).T
+    bound = np.array(bounds, dtype=np.int64)
     keep = (lhs < bound) if strict else (lhs <= bound)
-    return [tuple(map(int, p)) for p in box[keep.all(axis=1)]]
+    return list(map(tuple, box[keep.all(axis=1)].tolist()))
+
+
+def _membership_points(sys, t, strict=False):
+    """_box_points of the t-th dilate over the loose box [0, t]^m, twice the
+    range 0..t/2 its rows allow."""
+    coeffs = [c for c, _ in sys.rows]
+    bounds = [alpha * t for _, alpha in sys.rows]
+    return _box_points(coeffs, bounds, range(t + 1), strict)
 
 
 def test_iter_lattice_points_matches_membership():
-    # every class with at most 7 edges; the reflexive box [-t, t]^7 is kept small
-    graphs = [g for group in connected_13_classes(7).values() for g in group]
-    assert len(graphs) == 28
-    for g in graphs:
-        for system, t_max in ((inequality_system(g), 4), (reflexive_system(g), 2)):
-            for t in range(t_max + 1):
-                pts = list(iter_lattice_points(system, t))
-                assert pts == _box_points(system, t), (g, system.box, t)
-                assert count_backtracking(system, t) == len(pts), (g, system.box, t)
-                assert count_backtracking(system, t, strict=True) == len(
-                    _box_points(system, t, strict=True)
-                ), (g, system.box, t)
+    # every class with at most 7 edges
+    assert len(CENSUS) == 28
+    for g in CENSUS:
+        system = inequality_system(g)
+        for t in range(5):
+            pts = list(iter_lattice_points(system, t))
+            assert pts == _membership_points(system, t), (g, t)
+            assert count_backtracking(system, t) == len(pts), (g, t)
+            assert count_backtracking(system, t, strict=True) == len(
+                _membership_points(system, t, strict=True)
+            ), (g, t)
+
+
+def test_q_rows_have_right_hand_side_one():
+    # Q = 4P - 1: in the coordinates v = 4w - 1 a row c.w <= alpha*t reads
+    # c.v <= (4 alpha - sum(c)) t, on every class with at most 7 edges
+    for g in CENSUS:
+        assert {4 * alpha - sum(c) for c, alpha in inequality_system(g).rows} == {1}
+
+
+def test_q_brute_force_is_p_at_4t():
+    # tQ, Q's four rows per vertex bounded by t over its box [-t, t]^m, is
+    # 4tP moved by -t*1, so its counts are P's at 4t, closed and strict
+    for g in CENSUS:
+        coeffs = [c for c, _ in inequality_system(g).rows]
+        for t in range(3):
+            for strict in (False, True):
+                points = _box_points(coeffs, [t] * len(coeffs), range(-t, t + 1), strict)
+                assert len(points) == count_elimination(g, 4 * t, strict=strict), (g, t)
+    claw_q = [c for c, _ in inequality_system(claw()).rows]
+    assert len(_box_points(claw_q, [1] * 4, range(-1, 2))) == 11
 
 
 def test_elimination_reflexive_kind():
-    # reflexive-candidate body of the claw at t=1 contains 11 lattice points
-    assert count_elimination(claw(), 1, kind="reflexive") == 11
-    assert count_elimination(claw(), 0, kind="reflexive") == 1
+    # Q = 4P - 1 of the claw, counted as P at 4t: 11 lattice points at t=1
+    assert count_elimination(claw(), 4) == 11
+    assert count_elimination(claw(), 0) == 1
     # interior counts at t+1 reproduce closed counts at t for a reflexive body
-    assert count_elimination(claw(), 2, kind="reflexive", strict=True) == 11
+    assert count_elimination(claw(), 8, strict=True) == 11
 
 
 @pytest.mark.parametrize(
@@ -156,10 +183,11 @@ def test_elimination_reflexive_kind():
 )
 @pytest.mark.parametrize("t", [0, 1, 2, 3, Fraction(5, 2)], ids=str)
 def test_backtracking_matches_elimination_on_reflexive(g, t):
-    sys = reflexive_system(g)
+    # tQ is counted as P at 4t, by both routes
+    sys = inequality_system(g)
     for strict in (False, True):
-        assert count_backtracking(sys, t, strict=strict) == count_elimination(
-            g, t, kind="reflexive", strict=strict
+        assert count_backtracking(sys, 4 * t, strict=strict) == count_elimination(
+            g, 4 * t, strict=strict
         )
 
 
@@ -177,11 +205,14 @@ def test_elimination_matches_backtracking_on_cycles(g, t):
         )
 
 
-@pytest.mark.parametrize("t", [57, 59])
-def test_elimination_at_the_float64_boundary(t):
-    # 58**9 < 2**53 <= 60**9: t = 57 is exact in float64 by the a-priori
-    # bound, t = 59 by the check of every step's largest entry
+@pytest.mark.parametrize("hi", [57, 59])
+def test_elimination_at_the_float64_boundary(hi):
+    # slot values 0..hi at t = 2 hi + 1; 58**9 < 2**53 <= 60**9: hi = 57 is
+    # exact in float64 by the a-priori bound, hi = 59 by the check of every
+    # step's largest entry
     assert (58**9 < 2**53) and (60**9 >= 2**53)
+    t = 2 * hi + 1
+    assert _dilation(t)[2] == hi
     assert count_elimination(prism(), t) == verlinde_count(6, t)
 
 
@@ -193,18 +224,28 @@ def test_huge_dilation_is_refused_before_allocating(count):
         count(claw(), 10**15)
 
 
-@pytest.mark.parametrize("k,n", [(8, 16), (10, 20)], ids=["8-prism", "10-prism"])
-@pytest.mark.parametrize("t", [5, 7, 9])
+@pytest.mark.parametrize(
+    "k,n,t", [(8, 16, 11), (8, 16, 13), (10, 20, 9)],
+    ids=["11-8-prism", "13-8-prism", "9-10-prism"],
+)
 def test_large_prisms_exact_past_the_bound(k, n, t):
-    # (t+1)**(3k) is past 2**62, but every step's largest entry stays below
-    # 2**53, so the float64 contraction is exact
-    assert (t + 1) ** (3 * k) >= 2**62
+    # (t//2 + 1)**(3k), over slot values 0..t//2, is past 2**62, but every
+    # step's largest entry stays below 2**53, so the float64 contraction is
+    # exact; the 8-prism at t = 15 and the 10-prism at t = 11 are not
+    assert (t // 2 + 1) ** (3 * k) >= 2**62
     assert count_elimination(k_prism(k), t) == verlinde_count(n, t)
+
+
+def test_k33_count_at_t_81():
+    # slot values 0..40: K3,3's widest tensors hold 41**4 float64 entries,
+    # 23 MB each
+    assert count_elimination(k33(), 81) == verlinde_count(6, 81)
 
 
 def test_inexact_float_count_is_refused():
     # the 10-prism at t = 11 has a step entry above 2**53 (plain float64 is
-    # off by 39 there) and its bound 12**30 is past int64
+    # off by 25 there) and its bound 6**30, over slot values 0..5, is past
+    # int64
     with pytest.raises(GraphError, match="count too large"):
         count_elimination(k_prism(10), 11)
 
@@ -214,18 +255,19 @@ def test_inexact_float_count_reruns_in_int64(monkeypatch):
     # count is made again on int64 arrays; with the int64 limit lowered too it
     # is refused
     monkeypatch.setattr(counting, "_FLOAT_EXACT", 2**10)
-    assert count_elimination(prism(), 9) == verlinde_count(6, 9)
+    assert count_elimination(prism(), 19) == verlinde_count(6, 19)
     monkeypatch.setattr(counting, "_INT64_LIMIT", 2**20)
     with pytest.raises(GraphError, match="count too large"):
-        count_elimination(prism(), 9)
+        count_elimination(prism(), 19)
 
 
 @pytest.mark.parametrize("count", [count_elimination, count_tree_dp])
 def test_tensor_budget_is_checked_before_allocating(count):
     # K4's widest tensor has 4 axes; the claw's only tensor is the indicator
-    g, t = (k4(), 200) if count is count_elimination else (claw(), 700)
+    g, t = (k4(), 400) if count is count_elimination else (claw(), 1400)
     rank = _plan(g).widest if count is count_elimination else 3
-    assert 8 * (t + 1) ** rank > _TENSOR_BUDGET > 8 * (t + 1) ** (rank - 1)
+    n = t // 2 + 1
+    assert 8 * n**rank > _TENSOR_BUDGET > 8 * n ** (rank - 1)
     tracemalloc.start()
     try:
         with pytest.raises(GraphError, match="budget"):
@@ -245,12 +287,12 @@ def test_tensor_budget_counts_the_tensors_held_at_once(monkeypatch):
     assert 8 * 128 ** _plan(g).widest == _TENSOR_BUDGET
     assert _program(g, 128).peak > _TENSOR_BUDGET
     with pytest.raises(GraphError, match="budget"):
-        count_elimination(g, 127)
+        count_elimination(g, 255)
     monkeypatch.setattr(counting, "_TENSOR_BUDGET", 8 * 32 ** _plan(g).widest)
     tracemalloc.start()
     try:
         with pytest.raises(GraphError, match="budget"):
-            count_elimination(g, 31)
+            count_elimination(g, 63)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -259,13 +301,13 @@ def test_tensor_budget_counts_the_tensors_held_at_once(monkeypatch):
 
 @pytest.mark.parametrize("g", [k4(), prism(), k33()], ids=["k4", "prism", "k33"])
 def test_plan_peaks_bound_the_traced_memory(g):
-    # at t = 47 the indicator is built per call and the workspace, released
-    # first, is allocated in the count, so both are traced.  K3,3's widest
-    # step holds both 4-axis factors and the result, and nothing else of that
-    # size: no copy of a factor
-    t = 47
-    assert (t + 1) ** 3 > _INDICATOR_CACHE_MAX
-    bound = _program(g, t + 1).peak
+    # at t = 95 (48 values per axis) the indicator is built per call and the
+    # workspace, released first, is allocated in the count, so both are
+    # traced.  K3,3's widest step holds both 4-axis factors and the result,
+    # and nothing else of that size: no copy of a factor
+    t, n = 95, 48
+    assert n**3 > _INDICATOR_CACHE_MAX
+    bound = _program(g, n).peak
     counting._thread.workspace = None
     tracemalloc.start()
     try:
@@ -274,26 +316,27 @@ def test_plan_peaks_bound_the_traced_memory(g):
     finally:
         tracemalloc.stop()
     assert count == verlinde_count(len(g.vertex_ids), t)
-    assert 8 * (t + 1) ** _plan(g).widest < peak <= bound
+    assert 8 * n ** _plan(g).widest < peak <= bound
     if g == k33():
         # three 48**4 float64 tensors, beside the indicator as float64 and
         # bool and the run's small allocations
-        assert bound <= 3 * 8 * (t + 1) ** 4 + 9 * (t + 1) ** 3 + counting._RUN_SMALL_BYTES
+        assert bound <= 3 * 8 * n**4 + 9 * n**3 + counting._RUN_SMALL_BYTES
 
 
 def test_large_workspace_is_released_and_small_one_reused():
-    # K3,3 at t = 47 needs over 64 MiB of workspace, which is released after
-    # the count; at t = 23 it needs 8 MB, which the next count reuses
+    # K3,3 at t = 95 (48 values) needs over 64 MiB of workspace, which is
+    # released after the count; at t = 47 (24 values) it needs 8 MB, which
+    # the next count reuses
     g = k33()
     assert 8 * _program(g, 48).size > _TENSOR_BUDGET >> 5
-    assert count_elimination(g, 47) == verlinde_count(6, 47)
+    assert count_elimination(g, 95) == verlinde_count(6, 95)
     assert getattr(counting._thread, "workspace", None) is None
-    assert count_elimination(g, 23) == verlinde_count(6, 23)
+    assert count_elimination(g, 47) == verlinde_count(6, 47)
     workspace = counting._thread.workspace
     assert workspace.nbytes == 8 * _program(g, 24).size
     tracemalloc.start()
     try:
-        assert count_elimination(g, 23) == verlinde_count(6, 23)
+        assert count_elimination(g, 47) == verlinde_count(6, 47)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -433,47 +476,74 @@ def test_cold_plan_equals_cached():
     assert _plan.cache_info().misses == len(CENSUS)
 
 
-def _reference_indicator(t, kind, strict):
-    """Each slot triple tested row by row, in integers."""
-    p, q, lo, hi = _dilation(t, KINDS[kind][1])
-    n = hi - lo + 1
+def _reference_indicator(n, rows, strict):
+    """Each slot triple x of 0..n-1 tested row by row in Fractions, a row
+    (signs, shift, bound) reading signs . (x - shift) <= bound."""
     out = np.zeros((n, n, n), dtype=bool)
-    for a, b, c in product(range(lo, hi + 1), repeat=3):
-        ok = True
-        for pattern, (alpha, beta) in zip(SIGN_PATTERNS, KINDS[kind][0]):
-            lhs = q * sum(s * x for s, x in zip(pattern, (a, b, c)))
-            bound = alpha * p + beta * q
-            ok = ok and (lhs < bound if strict else lhs <= bound)
-        out[a - lo, b - lo, c - lo] = ok
+    for x in product(range(n), repeat=3):
+        lhs = [(sum(s * (v - shift) for s, v in zip(signs, x)), bound)
+               for signs, shift, bound in rows]
+        out[x] = all((a < b) if strict else (a <= b) for a, b in lhs)
     return out
+
+
+def _p_rows(t):
+    """P's rows at t, for _reference_indicator."""
+    return [(signs, 0, alpha * t) for signs, alpha in LOCAL_ROWS]
+
+
+@pytest.mark.parametrize(
+    "t", [0, 1, 3, 9, Fraction(7, 2), Fraction(10, 3), Fraction(11, 4)], ids=str
+)
+@pytest.mark.parametrize("strict", [False, True], ids=["closed", "strict"])
+def test_rows_bound_every_slot_by_half_t(t, strict):
+    # over the loose range 0..floor(t), every triple with a slot past
+    # floor(t/2) fails a row; the indicator is the rest, and at the top
+    # value floor(t/2) some closed triple holds, so the range is tight
+    half = math.floor(Fraction(t) / 2)
+    loose = _reference_indicator(math.floor(t) + 1, _p_rows(Fraction(t)), strict)
+    for axis in range(3):
+        assert not np.take(loose, range(half + 1, len(loose)), axis=axis).any()
+    expect = loose[: half + 1, : half + 1, : half + 1]
+    assert strict or expect[half].any()
+    assert np.array_equal(_slot_indicator(*_dilation(t), strict), expect)
 
 
 @pytest.mark.parametrize("t", [0, 3, Fraction(7, 2), Fraction(10, 3)], ids=str)
 @pytest.mark.parametrize("kind", ["membership", "reflexive"])
 @pytest.mark.parametrize("strict", [False, True], ids=["closed", "strict"])
 def test_slot_indicator_matches_reference(t, kind, strict):
-    p, q, lo, hi = _dilation(t, KINDS[kind][1])
-    expect = _reference_indicator(t, kind, strict)
+    # membership: P at t over 0..floor(t/2).  reflexive: Q at t, four rows
+    # bounded by t over the box [-t, t] moved by t*1, which is P at 4t over
+    # 0..floor(2t)
+    t = Fraction(t)
+    if kind == "membership":
+        dilation, n, rows = t, math.floor(t / 2) + 1, _p_rows(t)
+    else:
+        dilation, n, rows = 4 * t, math.floor(2 * t) + 1, [
+            (signs, t, t) for signs, _ in LOCAL_ROWS
+        ]
+    expect = _reference_indicator(n, rows, strict)
     _shared_indicator.cache_clear()
     for _ in range(2):  # cold, then from the cache
-        ind = _slot_indicator(lo, hi, p, q, kind, strict)
+        ind = _slot_indicator(*_dilation(dilation), strict)
         assert ind.dtype == bool
         assert np.array_equal(ind, expect)
         assert not ind.flags.writeable  # shared: every caller reads one tensor
 
 
 def test_shared_indicator_is_read_only():
-    ind = _shared_indicator(0, 3, 3, 1, "membership", False)
+    ind = _shared_indicator(7, 1, 3, False)
     with pytest.raises(ValueError):
         ind[0, 0, 0] = False
 
 
 def test_large_indicator_is_not_cached():
-    t = 45
-    assert (t + 1) ** 3 > _INDICATOR_CACHE_MAX
+    hi = 45
+    assert (hi + 1) ** 3 > _INDICATOR_CACHE_MAX
     before = _shared_indicator.cache_info()
-    ind = _slot_indicator(0, t, t, 1, "membership", False)
-    assert ind.shape == (t + 1,) * 3 and ind.dtype == bool
+    ind = _slot_indicator(2 * hi, 1, hi, False)
+    assert ind.shape == (hi + 1,) * 3 and ind.dtype == bool
     assert _shared_indicator.cache_info() == before
 
 
@@ -492,7 +562,7 @@ def test_invalid_graph_raises_on_every_count():
             with pytest.raises(GraphError, match=message):
                 count_elimination(g, 3)
             with pytest.raises(GraphError, match=message):
-                count_elimination(g, Fraction(5, 2), kind="reflexive", strict=True)
+                count_elimination(g, Fraction(5, 2), strict=True)
             if g is path:
                 with pytest.raises(GraphError, match=message):
                     count_tree_dp(g, 3)
@@ -505,8 +575,8 @@ def test_rational_dilations_count_as_before(t):
     # semi_reflexive_check's samples go through _dilation's Fraction path,
     # and its floors through the int path; both agree with backtracking
     floor = t.numerator // t.denominator
-    assert _dilation(floor, "nonneg") == _dilation(Fraction(floor), "nonneg")
-    assert _dilation(t, "symmetric") == (t.numerator, t.denominator, -floor, floor)
+    assert _dilation(floor) == _dilation(Fraction(floor))
+    assert _dilation(t) == (t.numerator, t.denominator, math.floor(t / 2))
     for g in (claw(), theta(), dumbbell(), k4()):
         sys = inequality_system(g)
         assert count_elimination(g, t) == count_backtracking(sys, t)

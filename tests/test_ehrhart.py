@@ -200,6 +200,25 @@ def test_cube_matches_zagier():
     assert volume_check(g, qp).ok
 
 
+def petersen():
+    """The Petersen graph: a 5-cycle, a pentagram and five spokes (cubic, 15
+    edges)."""
+    edges = []
+    for i in range(5):
+        edges += [(3 * i + 1, i + 1, (i + 1) % 5 + 1), (3 * i + 2, i + 6, (i + 2) % 5 + 6),
+                  (3 * i + 3, i + 1, i + 6)]
+    return make_graph(edges)
+
+
+def test_petersen_matches_the_five_prism():
+    # two cubic graphs with 10 vertices: one class, one quasi-polynomial,
+    # whose odd constituents are Zagier's; counted over slot values
+    # 0..t/2, Petersen's widest tensor (5 axes) stays small
+    qp = quasi_polynomial(petersen())
+    assert qp == quasi_polynomial(k_prism(5))
+    assert all(qp.constituents[r % qp.period] == zagier_polynomial(10) for r in (1, 3))
+
+
 @pytest.mark.parametrize(
     "n,t,expected",
     [(2, 1, 1), (2, 3, 5), (2, 5, 14), (4, 1, 1), (4, 3, 15), (4, 5, 98)],

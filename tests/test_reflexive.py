@@ -10,7 +10,7 @@ from trivalent.catalog import claw, connected_13_classes, dumbbell, k4, theta
 from trivalent.counting import count_elimination
 from trivalent.ehrhart import quasi_polynomial
 from trivalent.graphs import GraphError
-from trivalent.polytope import reflexive_system
+from trivalent.polytope import contains, inequality_system
 from trivalent.reflexive import (
     HStarVector,
     h_star,
@@ -64,7 +64,7 @@ def test_h_star_matches_binomial_expansion():
     hs = h_star(g).coefficients
     for j in range(4):
         expected = sum(hs[k] * comb(j + m - k, m) for k in range(len(hs)))
-        assert count_elimination(g, 4 * j, kind="membership") == expected
+        assert count_elimination(g, 4 * j) == expected
 
 
 def test_vertex_enumeration_claw():
@@ -84,19 +84,22 @@ def test_vertex_enumeration_guard():
         vertex_enumeration(tree_caterpillar_four())
 
 
-def test_vertices_are_lattice_points_inside():
-    from trivalent.polytope import contains, reflexive_system
+def _in_q(g, v) -> bool:
+    """v is in Q = 4P - 1 exactly when (v + 1)/4 is in P."""
+    return contains(inequality_system(g), [(Fraction(x) + 1) / 4 for x in v], 1)
 
+
+def test_vertices_are_lattice_points_inside():
     for g in (theta(), dumbbell()):
-        sys = reflexive_system(g)
         for v in vertex_enumeration(g):
-            assert contains(sys, v, 1)
+            assert _in_q(g, v)
             assert all(x.denominator == 1 for x in map(Fraction, v))
+        assert not _in_q(g, [2] + [0] * (len(g.edges) - 1))
 
 
 def _fraction_vertices(g):
     """Reference: every m-subset of facet rows solved and tested in Fractions."""
-    system = reflexive_system(g)
+    system = inequality_system(g)
     m = len(system.edge_order)
     rows = [row[0] for row in system.rows]
     vertices = set()
@@ -125,7 +128,7 @@ def _solve_each_subset(g):
     """Reference: every m-subset of the distinct facet rows solved on its own
     by exactlin.solve_square, each solution tested against every row in
     integers."""
-    system = reflexive_system(g)
+    system = inequality_system(g)
     m = len(system.edge_order)
     rows = list(dict.fromkeys(row[0] for row in system.rows))
     vertices = set()
@@ -148,7 +151,7 @@ def test_vertex_enumeration_matches_solving_each_subset():
     # distinct rows and one with 16, the widest stack (C(16, 7) subsets)
     graphs = [g for (_, m), group in CENSUS if m == 6 for g in group]
     sevens = [g for (_, m), group in CENSUS if m == 7 for g in group]
-    widths = [len(set(row[0] for row in reflexive_system(g).rows)) for g in sevens]
+    widths = [len(set(row[0] for row in inequality_system(g).rows)) for g in sevens]
     graphs.append(sevens[widths.index(min(widths))])
     graphs.append(sevens[widths.index(16)])
     assert len(graphs) == 10
@@ -165,6 +168,7 @@ def test_every_vertex_of_q_is_integral():
         vertices = vertex_enumeration(g)
         assert len(vertices) > len(g.edges)  # full-dimensional
         assert all(x.denominator == 1 for v in vertices for x in v)
+        assert all(_in_q(g, v) for v in vertices)
 
 
 def test_vertex_enumeration_checks_each_vertex_by_an_exact_solve(monkeypatch):

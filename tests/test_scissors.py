@@ -149,9 +149,8 @@ def _check_every_piece(d):
     # the metric rows hold in every dilate, so the largest perimeter sum is
     # the least dilate t of the source that holds the witness
     src = inequality_system(d.source)
-    rows = np.array([c for c, _, _ in src.rows], dtype=np.int64).reshape(-1, m)
-    t_rows = np.array([alpha for _, alpha, _ in src.rows], dtype=bool)
-    assert not any(beta for _, _, beta in src.rows)
+    rows = np.array([c for c, _ in src.rows], dtype=np.int64).reshape(-1, m)
+    t_rows = np.array([alpha for _, alpha in src.rows], dtype=bool)
     values = witnesses @ rows.T
     assert (values[:, ~t_rows] <= 0).all()
     dilates = np.maximum(values[:, t_rows].max(axis=1), 0)
