@@ -18,39 +18,41 @@ dilation parameters are handled exactly by clearing denominators; all
 comparisons happen in integers.
 
 count_elimination runs a contraction tree: each leaf is one degree-3
-vertex's copy of the slot indicator (pendants and loops summed in), each
-internal node one pairwise contraction of its children.  The tree comes from
-an exact DP over subsets of the degree-3 vertices (the narrowest widest
-intermediate, then the fewest flops) while there are at most
+vertex, each internal node one pairwise contraction of its children.  The
+tree comes from an exact DP over subsets of the degree-3 vertices (the
+narrowest widest intermediate, then the fewest flops) while there are at most
 _DP_MAX_VERTICES of them, and from a greedy rule beyond.  A tree's widest
 intermediate is governed by treewidth, where a linear frontier's is at least
 the cutwidth of its vertex order: 4 against 5 axes on K3,3, 4 against 11 on
 the 10-prism.
 
-The tree is compiled once into a program.  Each tensor is stored in an axis
-order the plan chooses, so that each contraction is one np.matmul(a, b,
-out=...) of 2-D views (a transposed view goes to BLAS as is), or a batch of
-them over one leading axis; only a tensor no order serves is copied, as
-einsum copies a leaf.  All tensors are spans of one float64 workspace per
+Every permutation of the slots (a, b, c) maps LOCAL_ROWS onto itself, so the
+0/1 vertex indicator N over vals^3 is symmetric (the structure constants
+N_abc of an even-label fusion algebra), and a leaf in any axis order is one
+of six tensors (_marginals): N for three open slots; N summed over one, two
+or three slots for as many pendants; the loop diagonal sum_l N[l, l, a]
+beside an open slot, and its sum beside a pendant.
+
+The tree is compiled once into a program of matrix products: each is one
+np.matmul(a, b, out=...) of 2-D views (a transposed view goes to BLAS as
+is), or a batch of them over one leading axis, of leaf tensors and
+intermediates in the axis orders the plan chooses; only an intermediate no
+order serves is copied.  Intermediates are spans of one float64 workspace per
 thread, packed by when each is alive, and reused by the next count; a
 workspace over _TENSOR_BUDGET >> 5 bytes is released after its count.
 Products are exact while len(vals)**m < 2**53 and, beyond, whenever every
 step's largest entry stays below 2**53 (checked after the fact); otherwise
-the count reruns in int64 or is refused.  A count whose program's peak (the
-workspace beside the indicator) would exceed _TENSOR_BUDGET bytes is refused
-before anything is allocated.
+the count reruns in int64 or is refused.  A count whose program's peak would
+exceed _TENSOR_BUDGET bytes is refused before anything is allocated.
 
 Work that does not depend on the count is done once.  A graph's plan (the
-tree in postorder, each tensor's axis order and slot) depends only on the
-graph, so _plan is cached per exact Graph, and its spans and shapes at n
-values per axis per (graph, n) in _program.  The vals^3 slot indicator
-depends only on the dilation and strictness, so every graph shares one
-read-only bool tensor per (p, q, hi, strict), which a run casts
-into its workspace.  That cache holds up to _INDICATOR_CACHE_SIZE tensors of
-at most _INDICATOR_CACHE_MAX bytes each (at most 8 MiB, and far less in
-practice: a full quasi-polynomial sweep of a 9-edge graph holds 44 tensors,
-about 19 KB in all); larger tensors are built per call, so a big t never
-pins memory.
+tree in postorder, each tensor's axis order and slot) is cached per exact
+Graph by _plan, and its spans and shapes at n values per axis per (graph, n)
+by _program.  The leaf tensors depend only on the dilation and strictness,
+so every graph shares one read-only set per (p, q, hi, strict) while N takes
+at most _LEAF_CACHE_MAX = 2**16 bytes (n <= 20 values, t <= 39): the cache
+holds under 9 MB, and a larger key is built per call, so a big t never pins
+memory.
 """
 from __future__ import annotations
 
@@ -86,7 +88,7 @@ def _dilation(t) -> tuple[int, int, int]:
 
 
 # The most bytes a count may hold at once: its program's workspace beside the
-# bool indicator, or the indicator's build if that is more (_Program.peak).
+# leaf tensors, or their build if that is more (_Program.peak).
 # A count over it is refused before anything is allocated.
 _TENSOR_BUDGET = 2**31
 
@@ -162,60 +164,76 @@ def iter_lattice_points(sys: InequalitySystem, t) -> Iterator[tuple[int, ...]]:
             yield prefix + (x,) if m else ()
 
 
-# -- local indicator ----------------------------------------------------------
+# -- leaf tensors --------------------------------------------------------------
 
 
-# Bounds of the indicator cache.  Strict keys share it with closed ones: the
+# Bounds of the leaf cache.  Strict keys share it with closed ones: the
 # prism's quasi-polynomial visits 44 keys (closed t <= 22, strict s <= 21), a
 # whole census-7 pass (quasi-polynomials, h*, reflexivity and semi-reflexive
 # counts of all 28 graphs) 49, and quasi_polynomial visits them in a cycle,
-# so the cache must hold a whole sweep or it misses on every call.  Tensors
-# above _INDICATOR_CACHE_MAX bytes (len(vals) > 40: t >= 80) are not cached.
-_INDICATOR_CACHE_SIZE = 128
-_INDICATOR_CACHE_MAX = 2**16
+# so the cache must hold a whole sweep or it misses on every call.  A key
+# whose float64 N takes over _LEAF_CACHE_MAX bytes (len(vals) > 20: t >= 40)
+# is not cached; a cached set takes under 68 KB.
+_LEAF_CACHE_SIZE = 128
+_LEAF_CACHE_MAX = 2**16
 
 
-def _slot_indicator(p: int, q: int, hi: int, strict: bool) -> np.ndarray:
-    """0/1 bool tensor over vals^3, vals the range 0..hi: the rows of
-    LOCAL_ROWS for one vertex, on its three slot values, at the dilation p/q.
-
-    A vertex whose slots repeat an edge (a loop) takes the diagonal of this
-    tensor, so one tensor serves every degree-3 vertex of a graph.  Up to
-    _INDICATOR_CACHE_MAX entries the tensor is shared and read-only; larger
-    ones are built per call.
-    """
-    key = (p, q, hi, strict)
-    if (hi + 1) ** 3 > _INDICATOR_CACHE_MAX:
-        return _bool_indicator(*key)
-    return _shared_indicator(*key)
-
-
-def _bool_indicator(p: int, q: int, hi: int, strict: bool) -> np.ndarray:
+def _indicator(p: int, q: int, hi: int, strict: bool) -> np.ndarray:
+    """0/1 float64 tensor over vals^3, vals the range 0..hi: the rows of
+    LOCAL_ROWS for one vertex, on its three slot values, at the dilation p/q."""
     vals = np.arange(hi + 1, dtype=np.int64)
     slots = (q * vals[:, None, None], q * vals[None, :, None], q * vals[None, None, :])
     ind = np.ones((len(vals),) * 3, dtype=bool)
-    for pattern, alpha in LOCAL_ROWS:
-        row = sum(sign * x for sign, x in zip(pattern, slots))
-        ind &= (row < alpha * p) if strict else (row <= alpha * p)
-    return ind
+    for pattern, alpha in LOCAL_ROWS:  # in integers, row < b is row <= b - 1
+        ind &= sum(sign * x for sign, x in zip(pattern, slots)) <= alpha * p - strict
+    return ind.astype(np.float64)
 
 
-@lru_cache(maxsize=_INDICATOR_CACHE_SIZE)
-def _shared_indicator(p: int, q: int, hi: int, strict: bool) -> np.ndarray:
-    """_bool_indicator, cached and read-only: every caller shares it."""
-    ind = _bool_indicator(p, q, hi, strict)
-    ind.flags.writeable = False
-    return ind
+def _marginals(three: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The six leaf tensors of a vertex tensor, flat, in the kinds' order:
+    three open slots (the tensor itself), two and one (summed over the
+    pendants' slots), none (the claw); then a loop beside one open slot (its
+    diagonal summed) and beside a pendant (the lollipop).
+
+    A leaf's axes may stand in any order only because the tensor is
+    symmetric, so one that is not equal to its transposes is refused.
+    """
+    # two transpositions generate all six permutations of the slots
+    if not all(np.array_equal(three, three.transpose(axes)) for axes in ((1, 0, 2), (0, 2, 1))):
+        raise ValueError("the vertex tensor is not symmetric in its slots")
+    two = three.sum(axis=2)
+    one = two.sum(axis=1)
+    loop = np.trace(three)  # sum_l three[l, l, :]
+    return tuple(np.ravel(x) for x in (three, two, one, one.sum(), loop, loop.sum()))
 
 
-# Building the indicator holds an int64 vals^3 row sum beside the bool tensor
-# and a bool comparison: less than two 8-byte vals^3 tensors at once.
-_INDICATOR_BUILD_BYTES = 16
+def _leaf_tensors(p: int, q: int, hi: int, strict: bool) -> tuple[np.ndarray, ...]:
+    """_marginals of the vertex indicator at the dilation p/q: shared and
+    read-only while N takes at most _LEAF_CACHE_MAX bytes, else built per
+    call."""
+    if 8 * (hi + 1) ** 3 > _LEAF_CACHE_MAX:
+        return _marginals(_indicator(p, q, hi, strict))
+    return _shared_leaves(p, q, hi, strict)
+
+
+@lru_cache(maxsize=_LEAF_CACHE_SIZE)
+def _shared_leaves(p: int, q: int, hi: int, strict: bool) -> tuple[np.ndarray, ...]:
+    """_leaf_tensors of a small key, cached and read-only."""
+    leaves = _marginals(_indicator(p, q, hi, strict))
+    for x in leaves:
+        x.flags.writeable = False
+    return leaves
+
+
+# Building the leaves holds N as bool beside an int64 vals^3 row sum and its
+# bool comparison, then beside N in float64: 10 bytes per entry of N,
+# traced at 48 values and more.
+_LEAF_BUILD_BYTES = 10
 
 # A count's small allocations beside its tensors (the value range, views,
-# scalars, and its program when that is not cached yet): under 4 KB traced
-# on K3,3 at 48 values.
-_RUN_SMALL_BYTES = 2**13
+# scalars, numpy's iteration buffers in the leaves' build, and its program
+# when that is not cached yet): under 140 KB traced at 8 to 80 values.
+_RUN_SMALL_BYTES = 2**18
 
 
 # -- the contraction program ---------------------------------------------------
@@ -256,60 +274,50 @@ _Merges = list[tuple[int, int]]
 
 
 class _Plan(NamedTuple):
-    """A contraction tree compiled into steps over the slots of a workspace.
+    """A contraction tree compiled into steps over the leaf tensors and the
+    slots of a workspace.
 
-    Slot s holds tensors of at most ranks[s] axes; at n values per axis it
-    takes n**ranks[s] entries.  Slot ind holds the float64 indicator, and the
-    count ends in slot result (None when g has no degree-3 vertex).  A
-    tensor's entries are stored in the row-major order of its axes.  The
-    steps, in postorder:
+    A tensor is named by (source, slot): source 0 is the workspace, whose
+    slot s holds tensors of at most ranks[s] axes (at n values per axis,
+    n**ranks[s] entries), and source 1 + kind is that kind's leaf tensor
+    (slot 0).  A tensor's entries are stored in the row-major order of its
+    axes.  The count ends in result (None when g has no degree-3 vertex).
+    The steps, in postorder:
 
-    * ("leaf", script, slot, rank): einsum of the indicator into a slot;
-    * ("copy", src, perm, dst, rank): src's tensor with its axes permuted;
-    * ("mul", a, b, out): out = a @ b.  a is (slot, batch axes, row axes,
-      column axes, transposed): the slot's tensor viewed as n**batch
-      matrices of n**rows x n**cols (one matrix when batch is 0), each
-      transposed when the flag is set; b likewise, and out is (slot, batch
-      axes, row axes, column axes, False).  At most one factor has a batch
-      axis; the other is used for every matrix of the batch.
+    * ("mul", a, b, out): out = a @ b.  a is (source, slot, batch axes, row
+      axes, column axes, transposed): the tensor viewed as n**batch matrices
+      of n**rows x n**cols (one matrix when batch is 0), each transposed when
+      the flag is set; b likewise, and out is a workspace slot's (0, slot,
+      batch axes, row axes, column axes, False).  At most one factor has a
+      batch axis; the other is used for every matrix of the batch.
+    * ("copy", src, perm, dst, rank): workspace slot src's tensor with its
+      axes permuted into slot dst.
 
     widest is the most axes any tensor has.
     """
 
     steps: tuple
     ranks: tuple[int, ...]
-    ind: int | None
-    result: int | None
+    result: tuple[int, int] | None
     widest: int
 
 
-def _leaves(g: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(slots, open edges) of each degree-3 vertex, by vertex id.
+def _leaves(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
+    """(leaf kind, open edges) of each degree-3 vertex, by vertex id.
 
     An edge stays open until both its degree-3 endpoints are merged; an edge
     whose only degree-3 endpoint is the vertex itself (a pendant, a loop) is
-    summed out by the vertex's einsum, and a loop takes the indicator's
-    diagonal.
+    summed into the vertex's leaf tensor.  The kind indexes _marginals: 3
+    less the open edges, and two more with a loop.
     """
-    owners = {
-        e: {x for x in (u, w) if g.degrees[x] == 3} for e, u, w in g.edge_list
-    }
-    return [
-        (g.slots(v), tuple(e for e in g.incident_edges(v) if owners[e] != {v}))
-        for v in sorted(g.vertex_ids)
-        if g.degrees[v] == 3
-    ]
-
-
-def _is_view(slots: tuple[int, ...], axes: tuple[int, ...]) -> bool:
-    """Whether a leaf is the indicator itself: three distinct open slots."""
-    return len(set(slots)) == 3 == len(axes)
-
-
-def _script(slots: tuple[int, ...], order: tuple[int, ...]) -> str:
-    """The einsum script from the indicator over slots to the axes order."""
-    letter = {e: "abc"[i] for i, e in enumerate(dict.fromkeys(slots))}
-    return "".join(letter[e] for e in slots) + "->" + "".join(letter[e] for e in order)
+    owners = {e: {x for x in (u, w) if g.degrees[x] == 3} for e, u, w in g.edge_list}
+    leaves = []
+    for v in sorted(g.vertex_ids):
+        if g.degrees[v] == 3:
+            axes = tuple(e for e in g.incident_edges(v) if owners[e] != {v})
+            loop = len(set(g.slots(v))) < 3
+            leaves.append((3 - len(axes) + 2 * loop, axes))
+    return leaves
 
 
 def _dp_tree(masks: list[int]) -> _Merges:
@@ -402,7 +410,7 @@ def _forms(
 
 
 def _layout(
-    leaves: list[tuple[tuple[int, ...], tuple[int, ...]]],
+    leaves: list[tuple[int, tuple[int, ...]]],
     merges: _Merges,
     nodes: list[frozenset[int]],
 ) -> tuple[list, list, list]:
@@ -418,16 +426,14 @@ def _layout(
     right one's.  When one child has one more axis before the block, the
     merge is a batch of such products over that axis, and the result leads
     with it.  A child whose order fits neither way is copied into one that
-    does; a leaf in another order than the indicator's is an einsum, so it
-    costs a copy only when it is the indicator itself.  Tables map each
-    order a node can be computed in to its cheapest (cost, choice), bottom up.
+    does; a leaf tensor is symmetric, so every order of it is free.  Tables
+    map each order a node can be computed in to its cheapest (cost, choice),
+    bottom up.
     """
     n_leaves = len(leaves)
     copy_cost = [8 * _PLAN_VALUES ** len(axes) for axes in nodes]
     tables: list[dict] = [
-        {order: (0 if order == slots or not _is_view(slots, axes) else copy_cost[k], None)
-         for order in permutations(axes)}
-        for k, (slots, axes) in enumerate(leaves)
+        {order: (0, None) for order in permutations(axes)} for _, axes in leaves
     ]
     for i, j in merges:
         shared = nodes[i] & nodes[j]
@@ -481,13 +487,14 @@ def _layout(
 def _build_plan(g: Graph, tree: Callable[[list[int]], _Merges]) -> _Plan:
     """Compile the tree that ``tree`` (_dp_tree or _greedy_tree) finds for g.
 
-    _layout picks each tensor's axis order.  Of each merge, the child whose
-    subtree needs less room beside the other's result is computed first.
-    Each tensor then lives from the step that writes it to the last step
-    that reads it, and tensors are packed into slots largest first, each
-    into the first slot whose tensors all live at other times ("greedy by
-    size" for shared objects, Pisarchyk and Lee 2020): a slot's size is
-    then a power of the value count, so the packing holds for every count.
+    _layout picks each tensor's axis order; leaves are the leaf tensors, in
+    no workspace slot.  Of each merge, the child whose subtree needs less
+    room beside the other's result is computed first.  Each intermediate
+    then lives from the step that writes it to the last step that reads it,
+    and they are packed into slots largest first, each into the first slot
+    whose tensors all live at other times ("greedy by size" for shared
+    objects, Pisarchyk and Lee 2020): a slot's size is then a power of the
+    value count, so the packing holds for every count.
     """
     leaves = _leaves(g)
     bit = {e: 1 << k for k, e in enumerate(g.edges)}
@@ -497,13 +504,12 @@ def _build_plan(g: Graph, tree: Callable[[list[int]], _Merges]) -> _Plan:
         nodes.append(nodes[i] ^ nodes[j])
     computed, used, forms = _layout(leaves, merges, nodes)
     n_leaves = len(leaves)
-    view = [k < n_leaves and _is_view(*leaves[k]) and used[k] == leaves[k][0]
-            for k in range(len(nodes))]
 
-    # entries a subtree needs at once, and holds once done, at _PLAN_VALUES
+    # workspace entries a subtree needs at once, and holds once done, at
+    # _PLAN_VALUES
     size = [_PLAN_VALUES ** len(axes) for axes in nodes]
-    held = [0 if view[k] else size[k] for k in range(len(nodes))]
-    need = held[:n_leaves]
+    held = [0] * n_leaves + size[n_leaves:]
+    need = [0] * n_leaves
     first = []
     for k, (i, j) in enumerate(merges, n_leaves):
         a, b = min((i, j), (j, i), key=lambda ab: (
@@ -512,26 +518,22 @@ def _build_plan(g: Graph, tree: Callable[[list[int]], _Merges]) -> _Plan:
         copy = 2 * size[k] if used[k] != computed[k] else 0
         need.append(max(need[a], held[a] + need[b], held[i] + held[j] + size[k], copy))
 
-    buffers = [[3, -1, -1]]  # rank, first and last step; 0 is the indicator
+    buffers = []  # rank, first and last step of each workspace tensor
     steps: list = []
 
-    def new(rank: int) -> int:
+    def new(rank: int) -> tuple[int, int]:
         buffers.append([rank, len(steps), len(steps)])
-        return len(buffers) - 1
+        return 0, len(buffers) - 1
 
-    def read(*bufs: int) -> None:
-        for b in bufs:
-            buffers[b][2] = len(steps)
+    def read(*tensors: tuple[int, int]) -> None:
+        for source, b in tensors:
+            if not source:
+                buffers[b][2] = len(steps)
 
-    def emit(k: int) -> int:
-        if view[k]:
-            return 0
+    def emit(k: int) -> tuple[int, int]:
+        """(source, buffer) of node k's tensor, as _Plan names it."""
         if k < n_leaves:
-            slots, axes = leaves[k]
-            read(0)
-            out = new(len(axes))
-            steps.append(("leaf", _script(slots, used[k]), out, len(axes)))
-            return out
+            return 1 + leaves[k][0], 0
         i, j = merges[k - n_leaves]
         a, b = first[k - n_leaves]
         held_buf = {a: emit(a)}
@@ -557,7 +559,7 @@ def _build_plan(g: Graph, tree: Callable[[list[int]], _Merges]) -> _Plan:
             read(out)
             src, out = out, new(len(nodes[k]))
             perm = tuple(computed[k].index(e) for e in used[k])
-            steps.append(("copy", src, perm, out, len(nodes[k])))
+            steps.append(("copy", src[1], perm, out[1], len(nodes[k])))
         return out
 
     result = emit(len(nodes) - 1) if nodes else None
@@ -577,19 +579,19 @@ def _build_plan(g: Graph, tree: Callable[[list[int]], _Merges]) -> _Plan:
         lives[slot].append((lo, hi))
         slot_of[b] = slot
 
+    def place(source: int, b: int) -> tuple[int, int]:
+        return source, b if source else slot_of[b]
+
     def at(step):
         kind, *args = step
         if kind == "mul":
-            return (kind, *((slot_of[s], *rest) for s, *rest in args))
-        if kind == "leaf":
-            return (kind, args[0], slot_of[args[1]], args[2])
+            return (kind, *((*place(*t), *rest) for t, *rest in args))
         return (kind, slot_of[args[0]], args[1], slot_of[args[2]], args[3])
 
     return _Plan(
         steps=tuple(map(at, steps)),
-        ranks=tuple(ranks) if nodes else (),
-        ind=slot_of[0] if nodes else None,
-        result=None if result is None else slot_of[result],
+        ranks=tuple(ranks),
+        result=None if result is None else place(*result),
         widest=max(map(len, nodes), default=0),
     )
 
@@ -611,26 +613,26 @@ def _plan(g: Graph) -> _Plan:
 
 
 class _Program(NamedTuple):
-    """A plan at n values per axis.  Each step reads and writes spans of the
-    workspace (see _program), a factor's followed by whether it is
-    transposed; ind is the indicator's span, result the entry holding the
-    count, size the workspace's entries and peak the bytes a count holds at
-    once: the workspace beside the bool indicator, or the indicator's build
-    if that is more, and the count's small allocations."""
+    """A plan at n values per axis.  Each step reads and writes spans (see
+    _program), a factor's followed by whether it is transposed; result is the
+    source and entry holding the count, size the workspace's entries and
+    peak the bytes a count holds at once: the workspace beside the leaf
+    tensors, or their build if that is more, and the count's small
+    allocations."""
 
     steps: tuple
-    ind: tuple[int, int, tuple[int, ...]] | None
-    result: int | None
+    result: tuple[int, int] | None
     size: int
     peak: int
 
 
 @lru_cache(maxsize=_PROGRAM_CACHE_SIZE)
 def _program(g: Graph, n: int) -> _Program:
-    """g's plan as spans of one workspace at n values per axis.
+    """g's plan as spans at n values per axis.
 
-    A span is (first entry, end entry, shape).  Equal numbers and shapes are
-    stored once, which halves a program's memory: a census-7 pass keeps 339
+    A span is (source, first entry, end entry, shape), its entries those of
+    the workspace or of a leaf tensor.  Equal numbers and shapes are stored
+    once, which halves a program's memory: a census-7 pass keeps 339
     programs.
     """
     plan = _plan(g)
@@ -643,32 +645,29 @@ def _program(g: Graph, n: int) -> _Program:
     for rank in plan.ranks:
         start.append(start[-1] + n**rank)
 
-    def span(slot: int, rank: int, shape: tuple[int, ...] | None = None):
-        return (keep(start[slot]), keep(start[slot] + n**rank),
-                keep(tuple(map(keep, shape or (n,) * rank))))
+    def span(source: int, slot: int, rank: int, shape: tuple[int, ...] | None = None):
+        i = keep(0 if source else start[slot])
+        return source, i, keep(i + n**rank), keep(tuple(map(keep, shape or (n,) * rank)))
 
-    def matrix(slot: int, batch: int, rows: int, cols: int):
+    def matrix(source: int, slot: int, batch: int, rows: int, cols: int):
         shape = (n**rows, n**cols) if not batch else (n**batch, n**rows, n**cols)
-        return span(slot, batch + rows + cols, shape)
+        return span(source, slot, batch + rows + cols, shape)
 
     steps = []
     for kind, *args in plan.steps:
         if kind == "mul":
-            (sa, *a, ta), (sb, *b, tb), (so, *o, _) = args
-            steps.append((kind, *matrix(sa, *a), ta, *matrix(sb, *b), tb, *matrix(so, *o)))
-        elif kind == "leaf":
-            script, slot, rank = args
-            steps.append((kind, script, *span(slot, rank)))
+            (*a, ta), (*b, tb), (*o, _) = args
+            steps.append((kind, *matrix(*a), ta, *matrix(*b), tb, *matrix(*o)[1:]))
         else:
             src, perm, dst, rank = args
-            steps.append((kind, *span(src, rank)[:2], perm, *span(dst, rank)))
+            steps.append((kind, *span(0, src, rank)[1:3], perm, *span(0, dst, rank)[1:]))
     size = start[-1]
+    leaves = n**3 + n**2 + 2 * n + 2  # entries of the six leaf tensors
     return _Program(
         tuple(steps),
-        None if plan.ind is None else span(plan.ind, 3),
-        None if plan.result is None else start[plan.result],
+        None if plan.result is None else span(*plan.result, 0)[:2],
         size,
-        max(_INDICATOR_BUILD_BYTES * n**3, 8 * size + n**3) + _RUN_SMALL_BYTES,
+        max(8 * (size + leaves), _LEAF_BUILD_BYTES * n**3) + _RUN_SMALL_BYTES,
     )
 
 
@@ -686,41 +685,36 @@ def _workspace(size: int) -> np.ndarray:
     return buf
 
 
-def _run(program: _Program, ind: np.ndarray, limit: int | None = None) -> int | None:
-    """Run program on the indicator ind: in the thread's float64 workspace,
-    or in a fresh int64 one when ind is int64.
+def _run(
+    program: _Program, leaves: tuple[np.ndarray, ...], limit: int | None = None
+) -> int | None:
+    """Run program on the six leaf tensors (_marginals): in the thread's
+    float64 workspace, or in a fresh int64 one when the leaves are int64.
 
     With a limit, returns None as soon as a product's largest entry reaches
     it.
     """
     if program.result is None:
         return 1
-    if ind.dtype == np.int64:
-        buf = np.empty(program.size, dtype=np.int64)
-    else:
-        buf = _workspace(program.size)
+    int64 = leaves[0].dtype == np.int64
+    buf = np.empty(program.size, dtype=np.int64) if int64 else _workspace(program.size)
+    sources = (buf, *leaves)
     try:
-        i, j, shape = program.ind
-        ind3 = buf[i:j].reshape(shape)
-        np.copyto(ind3, ind)
         for step in program.steps:
-            kind = step[0]
-            if kind == "mul":
-                _, i, j, shape_a, ta, k, m, shape_b, tb, o, p, shape_o = step
-                a = buf[i:j].reshape(shape_a)
-                b = buf[k:m].reshape(shape_b)
+            if step[0] == "mul":
+                _, sa, i, j, shape_a, ta, sb, k, m, shape_b, tb, o, p, shape_o = step
+                a = sources[sa][i:j].reshape(shape_a)
+                b = sources[sb][k:m].reshape(shape_b)
                 out = buf[o:p].reshape(shape_o)
                 np.matmul(a.swapaxes(-1, -2) if ta else a,
                           b.swapaxes(-1, -2) if tb else b, out=out)
                 if limit is not None and out.max() >= limit:
                     return None
-            elif kind == "leaf":
-                _, script, o, p, shape_o = step
-                np.einsum(script, ind3, out=buf[o:p].reshape(shape_o))
             else:
                 _, i, j, perm, o, p, shape_o = step
                 np.copyto(buf[o:p].reshape(shape_o), buf[i:j].reshape(shape_o).transpose(perm))
-        return int(buf[program.result])
+        source, entry = program.result
+        return int(sources[source][entry])
     finally:
         if buf.dtype == np.float64 and buf.nbytes > _TENSOR_BUDGET >> 5:
             _thread.workspace = None
@@ -762,15 +756,15 @@ def count_elimination(g: Graph, t, strict: bool = False) -> int:
             f"{_gib(program.peak)} at once, over the {_gib(_TENSOR_BUDGET)} budget"
         )
     bound = n_vals ** len(g.edges)
-    ind = _slot_indicator(p, q, hi, strict)
-    count = _run(program, ind, _FLOAT_EXACT if bound >= _FLOAT_EXACT else None)
+    leaves = _leaf_tensors(p, q, hi, strict)
+    count = _run(program, leaves, _FLOAT_EXACT if bound >= _FLOAT_EXACT else None)
     if count is not None:
         return count
     if bound >= _INT64_LIMIT:
         raise GraphError(
             "count too large: a float64 step reached 2**53 and int64 could overflow"
         )
-    return _run(program, ind.astype(np.int64))
+    return _run(program, tuple(x.astype(np.int64) for x in leaves))
 
 
 def count_tree_dp(g: Graph, t) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import mpmath
 
@@ -113,37 +113,34 @@ def _nodes(r: int, m: int) -> list[int]:
     return [low + 4 * k for k in range(m + 2)]
 
 
-def quasi_polynomial(
-    g: Graph, counter: Callable[[int], int] | None = None
-) -> QuasiPolynomial:
+def quasi_polynomial(g: Graph) -> QuasiPolynomial:
     """Interpolate the exact counting quasi-polynomial of the graph polytope.
 
     Per residue r mod 4 the nodes are m + 2 consecutive values r + 4k, the
     window centred on t = 0 (largest |t| about 2m + 4, not 4m + 7): the
     lowest m + 1 pin down a degree-m polynomial, and the top one, always
-    positive, is a probe it must match.  A node t >= 0 is counter(t).  A node
-    t = -s is (-1)^m count_elimination(g, s, strict=True), by reciprocity: P
-    is full-dimensional and no row of it is zero, so its interior is exactly
-    the points satisfying every row strictly.  The probe is a closed count
-    outside the fit nodes; were one node's value wrong, the fitted polynomial
-    would differ from the true one by c * prod(t - other fit nodes) with
-    c != 0, which is nonzero at the probe, so one probe catches any single
-    wrong value, reciprocity's included.  The period is reduced to the
-    smallest divisor of 4 whose residue classes share constituents.
+    positive, is a probe it must match.  A node t >= 0 is the count
+    count_points(g, t).  A node t = -s is (-1)^m count_elimination(g, s,
+    strict=True), by reciprocity: P is full-dimensional and no row of it is
+    zero, so its interior is exactly the points satisfying every row
+    strictly.  The probe is a closed count outside the fit nodes; were one
+    node's value wrong, the fitted polynomial would differ from the true one
+    by c * prod(t - other fit nodes) with c != 0, which is nonzero at the
+    probe, so one probe catches any single wrong value, reciprocity's
+    included.  The period is reduced to the smallest divisor of 4 whose
+    residue classes share constituents.
     """
-    if counter is None:
-        counter = lambda t: count_points(g, t)
     m = len(g.edges)
     sign = (-1) ** m
 
     def value(t: int) -> int:
-        return counter(t) if t >= 0 else sign * count_elimination(g, -t, strict=True)
+        return count_points(g, t) if t >= 0 else sign * count_elimination(g, -t, strict=True)
 
     constituents = []
     for r in range(4):
         *fit, probe = _nodes(r, m)
         coeffs = _interpolate(fit[0], [value(t) for t in fit])
-        if sum(c * probe**i for i, c in enumerate(coeffs)) != counter(probe):
+        if sum(c * probe**i for i, c in enumerate(coeffs)) != count_points(g, probe):
             raise GraphError(
                 f"interpolation failed verification at t={probe}; "
                 "period-4 assumption violated"

@@ -6,7 +6,7 @@ import threading
 import tracemalloc
 from fractions import Fraction
 from importlib.resources import files
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -25,17 +25,18 @@ from trivalent.catalog import (
 )
 import trivalent.counting as counting
 from trivalent.counting import (
-    _INDICATOR_CACHE_MAX,
+    _LEAF_CACHE_MAX,
     _TENSOR_BUDGET,
     _build_plan,
     _dilation,
     _dp_tree,
     _greedy_tree,
+    _leaf_tensors,
+    _marginals,
     _plan,
     _program,
     _run,
-    _shared_indicator,
-    _slot_indicator,
+    _shared_leaves,
     count_backtracking,
     count_elimination,
     count_points,
@@ -301,12 +302,12 @@ def test_tensor_budget_counts_the_tensors_held_at_once(monkeypatch):
 
 @pytest.mark.parametrize("g", [k4(), prism(), k33()], ids=["k4", "prism", "k33"])
 def test_plan_peaks_bound_the_traced_memory(g):
-    # at t = 95 (48 values per axis) the indicator is built per call and the
-    # workspace, released first, is allocated in the count, so both are
+    # at t = 95 (48 values per axis) the leaf tensors are built per call and
+    # the workspace, released first, is allocated in the count, so both are
     # traced.  K3,3's widest step holds both 4-axis factors and the result,
     # and nothing else of that size: no copy of a factor
     t, n = 95, 48
-    assert n**3 > _INDICATOR_CACHE_MAX
+    assert 8 * n**3 > _LEAF_CACHE_MAX
     bound = _program(g, n).peak
     counting._thread.workspace = None
     tracemalloc.start()
@@ -318,8 +319,9 @@ def test_plan_peaks_bound_the_traced_memory(g):
     assert count == verlinde_count(len(g.vertex_ids), t)
     assert 8 * n ** _plan(g).widest < peak <= bound
     if g == k33():
-        # three 48**4 float64 tensors, beside the indicator as float64 and
-        # bool and the run's small allocations
+        # three 48**4 float64 tensors, beside the leaf tensors (N and its
+        # marginals, under 9 bytes per entry of N) and the run's small
+        # allocations
         assert bound <= 3 * 8 * n**4 + 9 * n**3 + counting._RUN_SMALL_BYTES
 
 
@@ -389,46 +391,56 @@ NETWORKS = {
 }
 
 
-# A random tensor that is not symmetric in its three slots sees the wiring:
-# pairing the wrong axes, or reading a loop's diagonal off the wrong slots,
-# changes the value, where a count of another graph of the class would not.
-@pytest.mark.parametrize("g", NETWORKS.values(), ids=NETWORKS.keys())
-def test_eliminate_matches_one_einsum(g):
-    rng = np.random.default_rng(len(g.edges) * 100 + len(g.vertex_ids))
-    ind = rng.integers(0, 5, size=(3, 3, 3), dtype=np.int64)
+def _symmetric(rng, n, high, dtype=np.int64):
+    """A random n x n x n tensor made symmetric: the sum of its six transposes."""
+    ind = rng.integers(0, high, size=(n, n, n)).astype(dtype)
     assert not np.array_equal(ind, ind.transpose(1, 0, 2))
+    return sum(ind.transpose(axes) for axes in permutations(range(3)))
+
+
+def _one_einsum(g, three):
+    """Reference: g's network of one tensor per degree-3 vertex over its
+    slots, contracted along einsum's greedy path without its size cap."""
     letter = dict(zip(g.edges, string.ascii_letters))
     cubic = [v for v in sorted(g.vertex_ids) if g.degrees[v] == 3]
     subscripts = ",".join("".join(letter[e] for e in g.slots(v)) for v in cubic)
-    expect = np.einsum(subscripts + "->", *[ind] * len(cubic), optimize=True)
-    assert _run(_program(g, len(ind)), ind) == int(expect)
+    operands = [subscripts + "->", *[three] * len(cubic)]
+    path, _ = np.einsum_path(*operands, optimize=("greedy", 2**40))
+    return np.einsum(*operands, optimize=path)
+
+
+# The vertex indicator is symmetric (test_local_rows_are_symmetric), so a
+# program reads each leaf in whatever axis order suits it and _marginals
+# refuses any other tensor; the wiring is therefore checked on a random
+# symmetric tensor.  Its entries still differ across slot values, so pairing
+# the wrong edges of two tensors, or reading a loop's or a pendant's sum off
+# the wrong leaf, changes the value, where a count of another graph of the
+# class would not.
+@pytest.mark.parametrize("g", NETWORKS.values(), ids=NETWORKS.keys())
+def test_eliminate_matches_one_einsum(g):
+    rng = np.random.default_rng(len(g.edges) * 100 + len(g.vertex_ids))
+    three = _symmetric(rng, 3, 5)
+    assert _run(_program(g, len(three)), _marginals(three)) == int(_one_einsum(g, three))
 
 
 # Counts cannot catch a program that pairs the wrong axes: the miswired
 # network is often another graph with the same degree data, hence (by the
-# invariance theorem) the same count.  So each program runs on a float64
-# tensor that is not symmetric in its slots, at 17 values, where each plan's
+# invariance theorem) the same count.  So each program runs on a symmetric
+# float64 tensor that is otherwise random, at 17 values, where each plan's
 # widest tensors have 17**4 entries: the products run on transposed views, in
 # batches, and after copies.  Past 2**53 both sides round, so they agree to
 # a relative 1e-12 rather than exactly.  einsum's default path caps every
-# intermediate at the size of an input, which here means one 17**9 loop, so
-# its greedy path runs without that cap.
+# intermediate at the size of an input, which here would mean one 17**9
+# loop, so _one_einsum runs its greedy path without that cap.
 @pytest.mark.parametrize(
     "g", [k4(), prism(), k33(), k_prism(10)], ids=["k4", "prism", "k33", "10-prism"]
 )
 def test_program_matches_one_einsum(g):
-    rng = np.random.default_rng(17)
-    ind = rng.integers(0, 3, size=(17, 17, 17)).astype(np.float64)
-    assert not np.array_equal(ind, ind.transpose(1, 0, 2))
-    assert not np.array_equal(ind, ind.transpose(0, 2, 1))
-    letter = dict(zip(g.edges, string.ascii_letters))
-    cubic = [v for v in sorted(g.vertex_ids) if g.degrees[v] == 3]
-    subscripts = ",".join("".join(letter[e] for e in g.slots(v)) for v in cubic)
-    operands = [subscripts + "->", *[ind] * len(cubic)]
-    path, _ = np.einsum_path(*operands, optimize=("greedy", 2**40))
-    expect = np.einsum(*operands, optimize=path)
+    three = _symmetric(np.random.default_rng(17), 17, 3, np.float64)
+    expect = _one_einsum(g, three)
     assert 17 ** _plan(g).widest >= 2**16
-    assert _run(_program(g, len(ind)), ind) == pytest.approx(float(expect), rel=1e-12)
+    got = _run(_program(g, len(three)), _marginals(three))
+    assert got == pytest.approx(float(expect), rel=1e-12)
 
 
 def test_plan_widest_frontier():
@@ -444,13 +456,14 @@ def test_plan_widest_frontier():
 def test_dp_and_greedy_trees_agree(g, monkeypatch):
     dp, greedy = _build_plan(g, _dp_tree), _build_plan(g, _greedy_tree)
     assert dp.widest <= greedy.widest
-    rng = np.random.default_rng(len(g.edges))
-    ind = rng.integers(0, 5, size=(3, 3, 3), dtype=np.int64)
+    leaves = _marginals(_symmetric(np.random.default_rng(len(g.edges)), 3, 5))
     counts = {}
     for name, plan in (("dp", dp), ("greedy", greedy)):
         monkeypatch.setattr(counting, "_plan", lambda g, plan=plan: plan)
+        _program.cache_clear()  # else both would run the cached program
         counts[name] = [count_elimination(g, t) for t in (0, 1, 2, 5, Fraction(7, 2))]
-        counts[name].append(_run(_program(g, len(ind)), ind))
+        counts[name].append(_run(_program(g, 3), leaves))
+    _program.cache_clear()
     assert counts["dp"] == counts["greedy"]
 
 
@@ -492,6 +505,29 @@ def _p_rows(t):
     return [(signs, 0, alpha * t) for signs, alpha in LOCAL_ROWS]
 
 
+# The six leaf tensors of a vertex indicator, in _marginals' order: three
+# open slots, two, one, none, a loop beside an open slot, beside a pendant.
+LEAF_SCRIPTS = ("abc->abc", "abc->ab", "abc->a", "abc->", "aab->b", "aab->")
+
+
+def test_local_rows_are_symmetric():
+    # every permutation of the slots (a, b, c) maps the four rows onto
+    # themselves, so the indicator is symmetric and _marginals accepts it;
+    # a tensor that is not symmetric is refused
+    rows = set(LOCAL_ROWS)
+    for perm in permutations(range(3)):
+        assert {(tuple(signs[i] for i in perm), alpha) for signs, alpha in rows} == rows
+    three = np.zeros((2, 2, 2))
+    three[0, 0, 1] = 1  # symmetric in the first two slots only
+    with pytest.raises(ValueError, match="not symmetric"):
+        _marginals(three)
+    three[0, 1, 0] = 1  # in the last two only
+    with pytest.raises(ValueError, match="not symmetric"):
+        _marginals(three)
+    three[1, 0, 0] = 1
+    assert len(_marginals(three)) == len(LEAF_SCRIPTS)
+
+
 @pytest.mark.parametrize(
     "t", [0, 1, 3, 9, Fraction(7, 2), Fraction(10, 3), Fraction(11, 4)], ids=str
 )
@@ -499,23 +535,31 @@ def _p_rows(t):
 def test_rows_bound_every_slot_by_half_t(t, strict):
     # over the loose range 0..floor(t), every triple with a slot past
     # floor(t/2) fails a row; the indicator is the rest, and at the top
-    # value floor(t/2) some closed triple holds, so the range is tight
+    # value floor(t/2) some closed triple holds, so the range is tight.  Each
+    # leaf tensor, cold and from the cache, is its einsum of the rest
     half = math.floor(Fraction(t) / 2)
     loose = _reference_indicator(math.floor(t) + 1, _p_rows(Fraction(t)), strict)
     for axis in range(3):
         assert not np.take(loose, range(half + 1, len(loose)), axis=axis).any()
-    expect = loose[: half + 1, : half + 1, : half + 1]
+    expect = loose[: half + 1, : half + 1, : half + 1].astype(np.float64)
     assert strict or expect[half].any()
-    assert np.array_equal(_slot_indicator(*_dilation(t), strict), expect)
+    _shared_leaves.cache_clear()
+    for _ in range(2):  # cold, then from the cache
+        leaves = _leaf_tensors(*_dilation(t), strict)
+        assert len(leaves) == len(LEAF_SCRIPTS)
+        for leaf, script in zip(leaves, LEAF_SCRIPTS):
+            assert leaf.dtype == np.float64 and leaf.ndim == 1
+            assert np.array_equal(leaf, np.ravel(np.einsum(script, expect))), script
+    assert _shared_leaves.cache_info().hits == 1
 
 
 @pytest.mark.parametrize("t", [0, 3, Fraction(7, 2), Fraction(10, 3)], ids=str)
 @pytest.mark.parametrize("kind", ["membership", "reflexive"])
 @pytest.mark.parametrize("strict", [False, True], ids=["closed", "strict"])
 def test_slot_indicator_matches_reference(t, kind, strict):
-    # membership: P at t over 0..floor(t/2).  reflexive: Q at t, four rows
-    # bounded by t over the box [-t, t] moved by t*1, which is P at 4t over
-    # 0..floor(2t)
+    # the vertex indicator N, the first leaf tensor.  membership: P at t over
+    # 0..floor(t/2).  reflexive: Q at t, four rows bounded by t over the box
+    # [-t, t] moved by t*1, which is P at 4t over 0..floor(2t)
     t = Fraction(t)
     if kind == "membership":
         dilation, n, rows = t, math.floor(t / 2) + 1, _p_rows(t)
@@ -524,27 +568,40 @@ def test_slot_indicator_matches_reference(t, kind, strict):
             (signs, t, t) for signs, _ in LOCAL_ROWS
         ]
     expect = _reference_indicator(n, rows, strict)
-    _shared_indicator.cache_clear()
+    _shared_leaves.cache_clear()
     for _ in range(2):  # cold, then from the cache
-        ind = _slot_indicator(*_dilation(dilation), strict)
-        assert ind.dtype == bool
-        assert np.array_equal(ind, expect)
-        assert not ind.flags.writeable  # shared: every caller reads one tensor
+        leaves = _leaf_tensors(*_dilation(dilation), strict)
+        assert np.array_equal(leaves[0].reshape((n,) * 3), expect)
+        # shared: every caller reads one set
+        assert not any(leaf.flags.writeable for leaf in leaves)
 
 
 def test_shared_indicator_is_read_only():
-    ind = _shared_indicator(7, 1, 3, False)
-    with pytest.raises(ValueError):
-        ind[0, 0, 0] = False
+    for leaf in _shared_leaves(7, 1, 3, False):
+        with pytest.raises(ValueError):
+            leaf[0] = 0
 
 
 def test_large_indicator_is_not_cached():
-    hi = 45
-    assert (hi + 1) ** 3 > _INDICATOR_CACHE_MAX
-    before = _shared_indicator.cache_info()
-    ind = _slot_indicator(2 * hi, 1, hi, False)
-    assert ind.shape == (hi + 1,) * 3 and ind.dtype == bool
-    assert _shared_indicator.cache_info() == before
+    # 21 values (t = 40) is the first key past the cap; 20 values are cached
+    hi = 20
+    assert 8 * hi**3 <= _LEAF_CACHE_MAX < 8 * (hi + 1) ** 3
+    _shared_leaves.cache_clear()
+    leaves = _leaf_tensors(2 * hi, 1, hi, False)
+    assert leaves[0].shape == ((hi + 1) ** 3,) and leaves[0].flags.writeable
+    assert _shared_leaves.cache_info().currsize == 0
+    assert not _leaf_tensors(2 * hi - 2, 1, hi - 1, False)[0].flags.writeable
+    assert _shared_leaves.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize(
+    "g", [*CENSUS, k4(), prism(), k33()],
+    ids=[*(f"census{i}" for i in range(28)), "k4", "prism", "k33"],
+)
+def test_plans_are_products_only(g):
+    # a leaf is read from its leaf tensor in any order, and these trees need
+    # no copy of a product either
+    assert {kind for kind, *_ in _plan(g).steps} <= {"mul"}
 
 
 def test_invalid_graph_raises_on_every_count():

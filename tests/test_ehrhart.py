@@ -76,18 +76,6 @@ def test_invariance_small():
     assert quasi_polynomial(k4()) == quasi_polynomial(t4())
 
 
-def test_custom_counter():
-    calls = []
-
-    def counter(t):
-        calls.append(t)
-        return count_points(claw(), t)
-
-    qp = quasi_polynomial(claw(), counter=counter)
-    assert qp.constituents == (CLAW_EVEN, CLAW_ODD)
-    assert calls  # the provided counter was actually exercised
-
-
 def _lagrange(points):
     """Reference: Lagrange interpolation in Fractions; coefficients ascending."""
     n = len(points)
@@ -174,12 +162,13 @@ def test_nodes_centred_on_zero(monkeypatch):
         negative.append(-s)
         return true_count(g, s, strict=True)
 
-    def counter(t):
+    def closed_count(g, t):
         closed.append(t)
         return count_points(g, t)
 
     monkeypatch.setattr(ehrhart, "count_elimination", strict_count)
-    assert quasi_polynomial(g, counter=counter) == expected
+    monkeypatch.setattr(ehrhart, "count_points", closed_count)
+    assert quasi_polynomial(g) == expected
     nodes = closed + negative
     assert len(nodes) == 4 * (m + 2)  # as many counts as before
     assert max(map(abs, nodes)) <= 2 * m + 5  # the old top was 4m + 7
