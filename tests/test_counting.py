@@ -325,6 +325,29 @@ def test_plan_peaks_bound_the_traced_memory(g):
         assert bound <= 3 * 8 * n**4 + 9 * n**3 + counting._RUN_SMALL_BYTES
 
 
+def test_plan_peak_bounds_the_int64_rerun(monkeypatch):
+    # with the float64 bound lowered to 2**10, K3,3 at t = 47 (24 values)
+    # reruns in int64: the float64 workspace is released first, and the
+    # peak counts the int64 leaves beside the float64 ones
+    g = k33()
+    monkeypatch.setattr(counting, "_FLOAT_EXACT", 2**10)
+    counting._program.cache_clear()
+    try:
+        program = _program(g, 24)
+        counting._thread.workspace = None
+        tracemalloc.start()
+        try:
+            count = count_elimination(g, 47)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    finally:
+        counting._program.cache_clear()
+    assert counting._thread.workspace is None  # kept at 8 MB had it not rerun
+    assert count == verlinde_count(6, 47)
+    assert 8 * program.size < peak <= program.peak
+
+
 def test_large_workspace_is_released_and_small_one_reused():
     # K3,3 at t = 95 (48 values) needs over 64 MiB of workspace, which is
     # released after the count; at t = 47 (24 values) it needs 8 MB, which

@@ -237,6 +237,35 @@ def test_verlinde_above_2_53():
     assert mpmath.mp.prec == saved
 
 
+def _verlinde_unpaired(n, t):
+    """The trigonometric sum over all j = 1..t+1, each term evaluated on its
+    own, in interval arithmetic at doubling precision until it pins one
+    integer."""
+    iv = mpmath.ctx_iv.MPIntervalContext()
+    mp = mpmath.ctx_mp.MPContext()
+    prec = ehrhart._START_PRECISION
+    while prec <= 4096:
+        iv.prec = mp.prec = prec
+        total = iv.mpf(0)
+        for j in range(1, t + 2):
+            total += (1 / iv.sin(iv.pi * j / (t + 2))) ** n
+        value = total * iv.mpf(t + 2) ** (n // 2) / iv.mpf(2) ** (n + 1)
+        k = int(mp.nint((mp.mpf(value.a) + mp.mpf(value.b)) / 2))
+        diff = value - k
+        if mp.mpf(diff.a) > -0.25 and mp.mpf(diff.b) < 0.25:
+            return k
+        prec *= 2
+    raise AssertionError(f"no integer certified for n = {n}, t = {t}")
+
+
+def test_verlinde_pairs_match_the_unpaired_sum():
+    # verlinde_count sums half the terms, twice: sin(pi j/(t+2)) is
+    # symmetric in j -> t + 2 - j, and t + 2 is odd
+    cases = [(n, t) for n in (2, 4, 6, 8, 12, 20) for t in (1, 3, 5, 19, 21, 23, 99)]
+    for n, t in cases + [(4, 3001)]:
+        assert verlinde_count(n, t) == _verlinde_unpaired(n, t)
+
+
 def test_verlinde_matches_enumeration():
     for t in (1, 3, 5):
         assert verlinde_count(2, t) == count_points(theta(), t)

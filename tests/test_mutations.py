@@ -10,10 +10,12 @@ import textwrap
 
 import pytest
 
+import trivalent.catalog as catalog
 import trivalent.counting as counting
 from trivalent.catalog import k4
 from trivalent.counting import count_elimination
 
+import test_catalog
 import test_counting
 from test_counting import CENSUS, NETWORKS
 
@@ -42,6 +44,15 @@ def _flip_metric_row(monkeypatch):
     monkeypatch.setattr(counting, "LOCAL_ROWS", flipped)
 
 
+def _skip_last_relabeling(monkeypatch):
+    """connected_13_classes's canonical test ignores the last relabeling."""
+    source = textwrap.dedent(inspect.getsource(catalog.connected_13_classes))
+    assert source.count("][1:]") == 1
+    namespace = dict(vars(catalog))
+    exec(source.replace("][1:]", "][1:-1]"), namespace)
+    monkeypatch.setattr(catalog, "connected_13_classes", namespace["connected_13_classes"])
+
+
 def _wiring_fails() -> bool:
     """test_eliminate_matches_one_einsum fails on some network: a program
     differs from the one-einsum reference on a random symmetric tensor."""
@@ -62,10 +73,22 @@ def _first_count_raises() -> bool:
     return False
 
 
+def _brute_force_differs() -> bool:
+    """test_classes_match_the_brute_force fails at some max_edges <= 7: the
+    catalog differs from the scan of every multiplicity vector."""
+    for max_edges in range(8):
+        try:
+            test_catalog.assert_matches_brute_force(max_edges)
+        except AssertionError:
+            return True
+    return False
+
+
 # name: (patch, check that must fail under it)
 MUTANTS = {
     "result-order": (_swap_result_axes, _wiring_fails),
     "flipped-metric-row": (_flip_metric_row, _first_count_raises),
+    "catalog-skips-a-relabeling": (_skip_last_relabeling, _brute_force_differs),
 }
 
 
