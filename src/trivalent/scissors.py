@@ -22,14 +22,22 @@ as the fallback.  The float proposals are batched: the children of a group
 of pieces share one 3-D exchange tableau (the right-hand side and the
 nonbasic columns only), solved in one pass, while every certificate is still
 validated on its own, in integers, and the pieces come out in the same order.
+
+A build keeps each level of pieces as three arrays: matrices (P, m, m),
+witnesses (P, m) and int32 constraint codes (P, K), padded with -1.  A code is
+4·id + 2·flipped + strict, id a row of the build's table of primitive
+normals.  Each move runs over groups of parents in numpy: pull-back,
+bookkeeping, LP rows, certificate check and case update.  Products run in
+int64 while a bound from the operands' maxima keeps every sum below 2**62,
+and on object arrays of Python ints past it.  Piece objects are made once,
+after the last move, sharing one tuple per distinct constraint and row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,14 +46,13 @@ from .exactlin import (
     IntMatrix,
     determinant,
     divide_gcd,
-    identity,
     max_epsilon,
     matvec,
 )
 from .graphs import Graph, GraphError
 from .nni import MoveSequence, Trail, apply_nni
 from .polytope import inequality_system
-from .weighted import CASES, NniSite, _apply_case, resolve_site, site_normals, weight_delta
+from .weighted import CASES, NniSite, resolve_site, site_normals, weight_delta
 
 WEAK = ">="
 STRICT = "<"
@@ -86,32 +93,125 @@ class Decomposition:
     pieces: tuple[Piece, ...]
 
 
-_DEAD = "dead"
-_SKIP = "skip"
-_ADD = "add"
+# a sum of products runs in int64 only while this bounds it
+_INT64_BOUND = 2**62
 
 
-def _classify_constraint(
-    existing: AbstractSet[Constraint], vec: tuple[int, ...], neg: tuple[int, ...], sense: str
-) -> str:
-    """Decide a new half-space row (normal vec, its negation neg) against the
-    rows already present.
+def _exact(terms: int, *arrays: np.ndarray) -> list[np.ndarray]:
+    """The arrays as int64 where a sum of `terms` products, one entry from
+    each array, stays below _INT64_BOUND in absolute value, and as object
+    arrays of Python ints otherwise; decided from the maxima, before any
+    product is formed."""
+    bound = terms
+    for a in arrays:
+        bound *= max(int(np.abs(a).max(initial=0)), 1)
+    dtype = np.int64 if bound < _INT64_BOUND else object
+    return [a.astype(dtype, copy=False) for a in arrays]
 
-    Sound field rules only: an identical row is skipped; a row implied by a
-    strictly stronger one is skipped; a row contradicting the same (or the
-    negated) normal makes the child empty.
+
+class _Normals:
+    """The primitive normals (gcd 1, first nonzero entry positive) of one
+    build, each stored once.  Code 4·id + 2·flipped + strict names the
+    constraint (±table[id], STRICT or WEAK), the minus sign where flipped."""
+
+    def __init__(self, m: int) -> None:
+        self.index: dict[tuple[int, ...], int] = {}
+        self.table = np.zeros((0, m), dtype=np.int64)
+
+    def codes(self, vecs: np.ndarray) -> np.ndarray:
+        """4·id + 2·flipped of each row of vecs, divided by its gcd with its
+        signs kept, as divide_gcd does; a zero row gets a code too."""
+        vecs = vecs // np.maximum(np.gcd.reduce(vecs, axis=-1), 1)[..., None]
+        flat = vecs.reshape(-1, vecs.shape[-1])
+        flipped = flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)] < 0
+        prim = np.where(flipped[:, None], -flat, flat)
+        known = len(self.index)
+        index, keys = self.index, map(tuple, prim.tolist())
+        ids = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.int64)
+        found, first = np.unique(ids, return_index=True)
+        self.table = np.concatenate([self.table, prim[first[found >= known]]])
+        return (4 * ids + 2 * flipped).astype(np.int32).reshape(vecs.shape[:-1])
+
+    def constraint(self, code: int) -> Constraint:
+        vec = self.table[code >> 2] * (1 - (code & 2))
+        return tuple(vec.tolist()), STRICT if code & 1 else WEAK
+
+    def rows(
+        self, codes: np.ndarray, cone: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The eps problem of each row of codes: one tensor holding the cone
+        rows, the weak constraints' normals negated, then the strict ones',
+        each in constraint order and padded with zero rows; and the counts
+        of its weak rows (cone rows included) and of its strict rows."""
+        valid = codes >= 0
+        strict = valid & (codes & 1 == 1)
+        nweak, nstrict = len(cone) + (valid & ~strict).sum(axis=1), strict.sum(axis=1)
+        out = np.zeros(
+            (len(codes), int((nweak + nstrict).max(initial=len(cone))), cone.shape[1]),
+            dtype=np.result_type(self.table, cone),
+        )
+        out[:, : len(cone)] = cone
+        weak_at = len(cone) + (valid & ~strict).cumsum(axis=1)
+        at = np.where(strict, nweak[:, None] + strict.cumsum(axis=1), weak_at) - 1
+        i, j = np.nonzero(valid)
+        c = codes[i, j]
+        sign = np.where(c & 1, 1, -1) * (1 - (c & 2))
+        out[i, at[i, j]] = self.table[c >> 2] * sign[:, None]
+        return out, nweak, nstrict
+
+
+def _verdicts(
+    weak: np.ndarray, zero: np.ndarray, present: np.ndarray, base: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whether a new row is added, and whether it kills its child.  The row
+    has the normal coded base (4·id + 2·flipped) and is weak where weak; the
+    codes present (last axis) may hold that normal weak (held) or strict, or
+    its negation strict (negated).
+
+    Sound field rules only: an identical row, or one implied by a strictly
+    stronger row, is skipped; a row contradicting the same (or the negated)
+    normal makes the child empty; 0 >= 0 always holds and 0 < 0 never does.
     """
-    if (vec, sense) in existing:
-        return _SKIP
-    if sense == WEAK:
-        if (neg, STRICT) in existing:  # p > 0 already holds
-            return _SKIP
-        if (vec, STRICT) in existing:  # p < 0 contradicts p >= 0
-            return _DEAD
-    else:
-        if (vec, WEAK) in existing or (neg, STRICT) in existing:
-            return _DEAD
-    return _ADD
+    held, strict, negated = (
+        (present == c[..., None]).any(axis=-1) for c in (base, base + 1, (base ^ 2) + 1)
+    )
+    skip = np.where(weak, zero | held | negated, ~zero & strict)
+    dead = np.where(weak, strict, zero | held | negated) & ~skip
+    return ~skip & ~dead, dead
+
+
+def _split(
+    matrices: np.ndarray,
+    witnesses: np.ndarray,
+    codes: np.ndarray,
+    h: np.ndarray,
+    normals: _Normals,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The cases of a move that bookkeeping leaves alive inside each piece of
+    a group, in (parent, case) order, cases numbered as CASES lists them.
+
+    The pieces come as their matrices, witnesses and constraint codes (-1
+    pads), the move as its normals h = (h1, h2).  Returns each child's
+    parent, case and codes, and whether the parent's witness lies in the
+    child.  The second row of a case meets the first when the first was added.
+    """
+    pulled = h @ matrices
+    inside = (pulled @ witnesses[:, :, None])[..., 0] >= 0
+    sides = np.array([case[0] for case in CASES.values()])
+    base = normals.codes(pulled)[:, None, :]
+    zero = ~(pulled != 0).any(axis=2)[:, None, :]
+    present = np.broadcast_to(codes[:, None, :], (len(codes), len(sides), codes.shape[1]))
+    dead = np.zeros((len(codes), len(sides)), dtype=bool)
+    for j in (0, 1):
+        add, killed = _verdicts(sides[:, j], zero[..., j], present, base[..., j])
+        dead |= killed
+        row = np.where(add, base[..., j] + ~sides[:, j], -1)  # strict where the case has h < 0
+        present = np.concatenate([present, row[..., None]], axis=2)
+    k = np.flatnonzero(~dead)
+    child = present.reshape(-1, present.shape[2])[k]
+    child = np.take_along_axis(child, np.argsort(child < 0, axis=1, kind="stable"), axis=1)
+    parent, case = divmod(k, len(sides))
+    return parent, case, child, (inside[:, None, :] == sides).all(axis=2).ravel()[k]
 
 
 def _cone_rows(g: Graph) -> list[tuple[int, ...]]:
@@ -127,16 +227,17 @@ def _cone_rows(g: Graph) -> list[tuple[int, ...]]:
 
 
 def _float_lps(
-    problems: Sequence[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]], m: int
+    rows: np.ndarray, nweak: np.ndarray, nstrict: np.ndarray
 ) -> list[tuple[float, list[float], list[float]] | None]:
     """Float tableau simplex for many eps problems at once; (eps, x, duals) each.
 
-    Problem (weak, strict) maximizes eps subject to w.x <= 0 for weak rows,
-    s.x + eps <= 0 for strict rows, eps <= 1 and x, eps >= 0.  Duals are
-    reported for the weak+strict rows (eps <= 1 row excluded).  An entry is
-    None where the float search fails to converge; every answer is
-    re-verified exactly by the caller, so this routine only has to be fast,
-    not trustworthy.
+    Problem i has the weak rows w = rows[i, :nweak[i]] and the strict rows
+    s = rows[i, nweak[i] : nweak[i] + nstrict[i]]; the rows after them are
+    zero.  It maximizes eps subject to w.x <= 0, s.x + eps <= 0, eps <= 1
+    and x, eps >= 0.  Duals are reported for the weak+strict rows (eps <= 1
+    row excluded).  An entry is None where the float search fails to
+    converge; every answer is re-verified exactly by the caller, so this
+    routine only has to be fast, not trustworthy.
 
     All problems share one 3-D exchange tableau, one layer each.  The full
     Dantzig tableau has the columns right-hand side, x, eps, then one unit
@@ -150,29 +251,23 @@ def _float_lps(
     zero but for their own slack, which never leaves; the entering column is
     the objective row's maximum, the lowest full-tableau column on ties.
     """
-    out: list[tuple[float, list[float], list[float]] | None] = [None] * len(problems)
-    if not problems:
+    out: list[tuple[float, list[float], list[float]] | None] = [None] * len(rows)
+    if not len(rows):
         return out
-    nweak = np.array([len(weak) for weak, _ in problems])
-    sizes = nweak + [len(strict) + 1 for _, strict in problems]  # rows incl. eps row
+    m = rows.shape[2]
+    sizes = nweak + nstrict + 1  # rows incl. eps row
     nrows = int(sizes.max())
     ncols = m + 2 + nrows  # of the full tableau
-    rows = np.arange(nrows)
-    # the problems of a batch share most rows: each distinct one is read once
-    index: dict[tuple[int, ...], int] = {}
-    ids = [
-        index.setdefault(vec, len(index)) for weak, strict in problems for vec in (*weak, *strict)
-    ]
-    T = np.zeros((len(problems), nrows + 1, m + 2))
-    layer, row = np.nonzero(rows < sizes[:, None] - 1)
-    T[layer, row, 1 : m + 1] = np.array(list(index), dtype=float).reshape(-1, m)[ids]
-    T[:, :nrows, m + 1] = (rows >= nweak[:, None]) & (rows < sizes[:, None])
-    T[np.arange(len(problems)), sizes - 1, 0] = 1.0  # eps <= 1
+    row = np.arange(nrows)
+    T = np.zeros((len(rows), nrows + 1, m + 2))
+    T[:, : nrows - 1, 1 : m + 1] = rows[:, : nrows - 1]
+    T[:, :nrows, m + 1] = (row >= nweak[:, None]) & (row < sizes[:, None])
+    T[np.arange(len(rows)), sizes - 1, 0] = 1.0  # eps <= 1
     T[:, nrows, m + 1] = 1.0  # objective: maximize eps
-    slots = np.tile(np.arange(1, m + 2), (len(problems), 1))  # full column of each slot
-    basis = np.tile(m + 2 + rows, (len(problems), 1))  # each row's basic column
-    live = np.arange(len(problems))  # problem of each layer
-    at = np.arange(len(problems))
+    slots = np.tile(np.arange(1, m + 2), (len(rows), 1))  # full column of each slot
+    basis = np.tile(m + 2 + row, (len(rows), 1))  # each row's basic column
+    live = np.arange(len(rows))  # problem of each layer
+    at = np.arange(len(rows))
     for _ in range(200):
         objective = T[:, nrows, 1:]
         # basic columns are zero in the objective row, so they only tie
@@ -234,154 +329,75 @@ def _clear_denominators(values: Sequence[Fraction]) -> tuple[int, ...]:
 
 
 def _rays(
-    proposals: Sequence[tuple[float, list[float], list[float]] | None],
-) -> list[tuple[bool, tuple[int, ...]] | None]:
-    """What each float proposal offers as a certificate, as (is_point, a
-    primitive nonnegative integer vector); None stays None.
+    proposals: Sequence[tuple[float, list[float], list[float]] | None], width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """What each float proposal offers as a certificate: whether it is a
+    point, and a primitive nonnegative integer vector padded to width.
 
     A proposal offers its point where eps > 1e-7 and its Farkas multipliers
     otherwise.  All proposals are scaled by _SCALE at once: entries at or
     below _ZERO_TOL become 0, the rest are rounded to integers, and each row
-    is divided by its gcd.  A row with a NaN or with an entry too large to
-    scale exactly becomes the zero vector, which _validate rejects.  Either
-    way the vector is only a proposal: _validate checks it in integers, and
-    the exact simplex decides whatever fails that check.
+    is divided by its gcd.  None, a row with a NaN, and a row with an entry
+    too large to scale exactly give the zero vector, which certifies
+    nothing.  Either way the vector is only a proposal: _certify checks it
+    in integers, and the exact simplex decides whatever fails that check.
     """
-    offered = [
-        (True, p[1]) if p[0] > 1e-7 else (False, p[2]) for p in proposals if p is not None
-    ]
-    width = max((len(vec) for _, vec in offered), default=0)
-    values = np.array([vec + [0.0] * (width - len(vec)) for _, vec in offered]).reshape(
-        len(offered), width
-    )
+    is_point = np.array([p is not None and p[0] > 1e-7 for p in proposals], dtype=bool)
+    values = np.zeros((len(proposals), width))
+    for i, p in enumerate(proposals):
+        if p is not None:
+            vec = p[1] if is_point[i] else p[2]
+            values[i, : len(vec)] = vec
     values[values <= _ZERO_TOL] = 0.0
     scaled = values * _SCALE
     fits = (scaled <= 2**30).all(axis=1)  # False on NaN
     k = np.rint(np.where(fits[:, None], scaled, 0.0)).astype(np.int64)
     k //= np.maximum(np.gcd.reduce(k, axis=1), 1)[:, None]
-    rows = iter(zip(offered, k.tolist()))
-    out: list[tuple[bool, tuple[int, ...]] | None] = []
-    for p in proposals:
-        if p is None:
-            out.append(None)
-            continue
-        (is_point, vec), ints = next(rows)
-        out.append((is_point, tuple(ints[: len(vec)])))
-    return out
-
-
-def _dot(vec: Sequence[int], x: Sequence[int]) -> int:
-    return sum(map(mul, vec, x))
+    return is_point, k
 
 
 def _certify(
-    children: Sequence[Sequence[Constraint]],
-    cone: list[tuple[int, ...]],
-    m: int,
+    rows: np.ndarray, nweak: np.ndarray, nstrict: np.ndarray
 ) -> list[tuple[int, ...] | None]:
     """An integer point of each half-open cone inside the body, or None where
     that cone is empty.
 
-    One batched float LP proposes every answer: a primal point (nonempty) or
-    Farkas multipliers (empty).  Each proposal is scaled to a nonnegative
-    integer vector, which every row being homogeneous allows, and checked on
-    its own in integer arithmetic.  Only when neither certificate validates
-    does the exact simplex run; its point is scaled to integers the same way.
+    Cone i reads w.x <= 0 on its weak rows rows[i, :nweak[i]] and s.x < 0 on
+    the strict rows after them.  One batched float LP proposes every answer:
+    a primal point (nonempty) or Farkas multipliers (empty).  The proposals
+    are scaled to nonnegative integer vectors, which every row being
+    homogeneous allows, and checked in integer arithmetic, the whole batch
+    at once.  Only where neither certificate holds does the exact simplex
+    run; its point is scaled to integers the same way.
     """
-    # the children of a group share most of their weak rows
-    negated = {
-        vec: tuple(-x for x in vec)
-        for vec in {vec for constraints in children for vec, sense in constraints if sense == WEAK}
-    }
-    problems = []
-    for constraints in children:
-        strict = [vec for vec, sense in constraints if sense == STRICT]
-        weak = cone + [negated[vec] for vec, sense in constraints if sense == WEAK]
-        problems.append((weak, strict))
-    rays = iter(_rays(_float_lps([p for p in problems if p[1]], m)))
-    # without a strict row the origin qualifies
-    return [
-        _validate(weak, strict, next(rays), m) if strict else (0,) * m
-        for weak, strict in problems
-    ]
-
-
-def _validate(
-    weak_vecs: list[tuple[int, ...]],
-    strict_vecs: list[tuple[int, ...]],
-    ray: tuple[bool, tuple[int, ...]] | None,
-    m: int,
-) -> tuple[int, ...] | None:
-    """Check one scaled proposal exactly; the exact simplex decides otherwise."""
-    if ray is not None:
-        is_point, vec = ray
-        if is_point:
-            if all(_dot(w, vec) <= 0 for w in weak_vecs) and all(
-                _dot(s, vec) < 0 for s in strict_vecs
-            ):
-                return vec
-        # y >= 0 with y.W + y.S >= 0 coordinatewise and sum over strict
-        # rows positive forces eps <= 0 for every feasible point
-        elif any(vec[len(weak_vecs) :]):
-            used = [(yv, row) for yv, row in zip(vec, weak_vecs + strict_vecs) if yv]
-            if all(sum(yv * row[j] for yv, row in used) >= 0 for j in range(m)):
-                return None
-    eps, x = max_epsilon(
-        [(vec, 0) for vec in weak_vecs],
-        [(vec, 0) for vec in strict_vecs],
-        m,
-        point=True,
-        early_positive=True,
-    )
-    return _clear_denominators(x) if eps > 0 else None
-
-
-def _pull_back(terms: Sequence[tuple[int, int]], matrix: IntMatrix) -> tuple[int, ...]:
-    """vec @ matrix for a vec given by its nonzero (index, entry) terms: a sum
-    of as many matrix rows."""
-    rows = [[c * x for x in matrix[i]] for i, c in terms]
-    return tuple(map(sum, zip(*rows))) if rows else (0,) * len(matrix)
-
-
-def _children(
-    piece: Piece, terms1: Sequence[tuple[int, int]], terms2: Sequence[tuple[int, int]]
-) -> list[tuple[list[Constraint], str, tuple[int, ...] | None]]:
-    """The cases of a move that bookkeeping leaves alive inside a piece.
-
-    The move's normals h1 and h2 come as their nonzero (index, entry) terms.
-    Each case comes as (constraints, case, witness), the witness being the
-    piece's own when it lies in that case and None when the case still
-    needs a certificate.
-    """
-    p1 = _pull_back(terms1, piece.matrix)
-    p2 = _pull_back(terms2, piece.matrix)
-    s1 = _dot(p1, piece.witness)
-    s2 = _dot(p2, piece.witness)
-    normals = [(vec, tuple(-x for x in vec)) for vec in (divide_gcd(p1), divide_gcd(p2))]
-    present = set(piece.constraints)
-    out = []
-    for case, (sides, _, _) in CASES.items():
-        constraints = list(piece.constraints)
-        existing = present
-        dead = False
-        for (vec, neg), nonnegative in zip(normals, sides):
-            sense = WEAK if nonnegative else STRICT
-            if not any(vec):
-                if sense == STRICT:
-                    dead = True  # 0 < 0 never holds
-                    break
-                continue  # 0 >= 0 always holds
-            verdict = _classify_constraint(existing, vec, neg, sense)
-            if verdict == _DEAD:
-                dead = True
-                break
-            if verdict == _ADD:
-                constraints.append((vec, sense))
-                existing = present | {(vec, sense)}
-        if dead:
-            continue
-        witness_here = (s1 >= 0, s2 >= 0) == sides
-        out.append((constraints, case, piece.witness if witness_here else None))
+    m = rows.shape[2]
+    out: list[tuple[int, ...] | None] = [(0,) * m] * len(rows)  # the origin, without a strict row
+    lp = np.flatnonzero(nstrict)
+    if len(lp) < len(rows):
+        rows, nweak, nstrict = rows[lp], nweak[lp], nstrict[lp]
+    width = rows.shape[1]
+    is_point, k = _rays(_float_lps(rows, nweak, nstrict), max(m, width))
+    rows, k = _exact(max(m, width), rows, k)
+    weak = np.arange(width) < nweak[:, None]
+    strict = ~weak & (np.arange(width) < (nweak + nstrict)[:, None])
+    values = (rows @ k[:, :m, None])[..., 0]
+    point = is_point & (~weak | (values <= 0)).all(axis=1) & (~strict | (values < 0)).all(axis=1)
+    # y >= 0 with y.W + y.S >= 0 coordinatewise and sum over strict rows
+    # positive forces eps <= 0 for every feasible point
+    y = k[:, :width]
+    farkas = ~is_point & (strict & (y != 0)).any(axis=1)
+    farkas &= ((y[:, None, :] @ rows)[:, 0] >= 0).all(axis=1)
+    for i, (j, ray) in enumerate(zip(lp.tolist(), k[:, :m].tolist())):
+        if point[i]:
+            out[j] = tuple(ray)
+        elif farkas[i]:
+            out[j] = None
+        else:
+            vecs = [(vec, 0) for vec in rows[i, : nweak[i] + nstrict[i]].tolist()]
+            eps, x = max_epsilon(
+                vecs[: nweak[i]], vecs[nweak[i] :], m, point=True, early_positive=True
+            )
+            out[j] = _clear_denominators(x) if eps > 0 else None
     return out
 
 
@@ -396,8 +412,58 @@ def _sites(g: Graph, moves: Iterable[Trail]) -> tuple[list[NniSite], Graph]:
 
 # pieces whose children share one batched LP: a larger batch spreads each
 # pivot's fixed numpy overhead over more layers; past 256 the K4 -> T4 build
-# gets no faster while its peak memory grows (512: about 8 MB more)
+# gets no faster while its peak memory grows (512: about 4 MB more)
 _GROUP = 256
+
+
+def _move(
+    matrices: np.ndarray,
+    witnesses: np.ndarray,
+    codes: np.ndarray,
+    site: tuple[np.ndarray, int, np.ndarray, np.ndarray],
+    normals: _Normals,
+    cone: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonempty children of a group of pieces under one move, in
+    (parent, case) order.  The site comes as its normals h, the pivot's
+    coordinate, and each case's coordinates added to and subtracted from
+    the pivot row."""
+    h, e, plus, minus = site
+    # h's entries sum to at most 4 in absolute value, so the pull-back stays
+    # within 4 max|M|, its value at the witness within m times that max|W|
+    # and the case update within 3 max|M|
+    matrices, witnesses = _exact(4 * len(h[0]), matrices, witnesses)
+    parent, case, codes, here = _split(matrices, witnesses, codes, h, normals)
+    need = np.flatnonzero(~here)
+    found = _certify(*normals.rows(codes[need], cone))
+    keep = np.ones(len(parent), dtype=bool)
+    keep[need] = [x is not None for x in found]
+    witnesses = witnesses[parent]
+    if keep[need].any():
+        # an exact simplex point may lie beyond int64
+        [certified] = _exact(1, np.array([x for x in found if x is not None], dtype=object))
+        witnesses = witnesses.astype(np.result_type(witnesses, certified), copy=False)
+        witnesses[need[keep[need]]] = certified
+    matrices = matrices[parent]
+    i = np.arange(len(parent))
+    matrices[:, e] += matrices[i, plus[case]] - matrices[i, minus[case]]
+    return matrices[keep], witnesses[keep], codes[keep]
+
+
+def _pieces(
+    matrices: np.ndarray, witnesses: np.ndarray, codes: np.ndarray, normals: _Normals
+) -> tuple[Piece, ...]:
+    """The level as Piece objects, one at a time, with one tuple per distinct
+    constraint and per distinct matrix row or witness."""
+    constraint = {c: normals.constraint(c) for c in np.unique(codes[codes >= 0]).tolist()}
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    out = []
+    for i, n in enumerate((codes >= 0).sum(axis=1).tolist()):
+        matrix = tuple(shared.setdefault(row, row) for row in map(tuple, matrices[i].tolist()))
+        witness = tuple(witnesses[i].tolist())
+        constraints = tuple(constraint[c] for c in codes[i, :n].tolist())
+        out.append(Piece(constraints, matrix, shared.setdefault(witness, witness)))
+    return tuple(out)
 
 
 def build_decomposition(g: Graph, seq: MoveSequence) -> Decomposition:
@@ -409,44 +475,36 @@ def build_decomposition(g: Graph, seq: MoveSequence) -> Decomposition:
     edge_order = g.edges
     m = len(edge_order)
     idx = {e: i for i, e in enumerate(edge_order)}
-    cone = _cone_rows(g)
+    cone = np.array(_cone_rows(g), dtype=np.int64).reshape(-1, m)
+    normals = _Normals(m)
     # all-ones weights satisfy every metric row with slack, so they are a
     # valid starting witness for the unconstrained root piece
-    pieces: list[Piece] = [Piece((), identity(m), (1,) * m)]
+    matrices = np.eye(m, dtype=np.int64)[None]
+    witnesses = np.ones((1, m), dtype=np.int64)
+    codes = np.zeros((1, 0), dtype=np.int32)
     sites, target = _sites(g, seq.moves)
     for site in sites:
-        terms1, terms2 = (
-            [(i, c) for i, c in enumerate(h) if c] for h in site_normals(site, edge_order)
+        slots = [idx[x] for x in site.slots]
+        move = (
+            np.array(site_normals(site, edge_order), dtype=np.int64),
+            idx[site.trail.e],
+            np.array([slots[plus] for _, plus, _ in CASES.values()]),
+            np.array([slots[minus] for _, _, minus in CASES.values()]),
         )
-        next_pieces: list[Piece] = []
-        for start in range(0, len(pieces), _GROUP):
-            children = [
-                (constraints, piece, case, witness)
-                for piece in pieces[start : start + _GROUP]
-                for constraints, case, witness in _children(piece, terms1, terms2)
-            ]
-            certified = iter(
-                _certify([c for c, _, _, witness in children if witness is None], cone, m)
-            )
-            for constraints, piece, case, witness in children:
-                if witness is None:
-                    witness = next(certified)
-                    if witness is None:
-                        continue  # the case misses the polytope
-                next_pieces.append(
-                    Piece(
-                        tuple(constraints),
-                        _apply_case(piece.matrix, site, case, idx),
-                        witness,
-                    )
-                )
-        pieces = next_pieces
+        parts = list(zip(*(
+            _move(*(x[i : i + _GROUP] for x in (matrices, witnesses, codes)), move, normals, cone)
+            for i in range(0, len(matrices), _GROUP)
+        )))
+        # the old level goes first, and each part once it is joined
+        del matrices, witnesses, codes
+        matrices, witnesses, codes = (np.concatenate(parts.pop(0)) for _ in range(3))
+        codes = codes[:, : (codes >= 0).sum(axis=1).max()]
     return Decomposition(
         source=g,
         target=target,
         moves=seq,
         edge_order=edge_order,
-        pieces=tuple(pieces),
+        pieces=_pieces(matrices, witnesses, codes, normals),
     )
 
 

@@ -7,13 +7,17 @@ programs and leaf tensors), before and after, so no mutant outlives its test.
 """
 import inspect
 import textwrap
+from dataclasses import replace
 
 import pytest
 
 import trivalent.catalog as catalog
 import trivalent.counting as counting
-from trivalent.catalog import k4
+import trivalent.scissors as scissors
+from trivalent.catalog import dumbbell, k4, t4, theta
 from trivalent.counting import count_elimination
+from trivalent.nni import MoveSequence, graph_sequence
+from trivalent.weighted import CASES
 
 import test_catalog
 import test_counting
@@ -53,6 +57,60 @@ def _skip_last_relabeling(monkeypatch):
     monkeypatch.setattr(catalog, "connected_13_classes", namespace["connected_13_classes"])
 
 
+def _swap_cases_b_and_c(monkeypatch):
+    """CASES with the pivot updates of cases B and C exchanged."""
+    (b_sides, b_plus, b_minus), (c_sides, c_plus, c_minus) = CASES["B"], CASES["C"]
+    monkeypatch.setitem(CASES, "B", (b_sides, c_plus, c_minus))
+    monkeypatch.setitem(CASES, "C", (c_sides, b_plus, b_minus))
+
+
+def _drop_a_piece(monkeypatch):
+    """build_decomposition loses its first piece, the one that holds the
+    origin: only a dropped piece that some point at t <= 4 reaches can be
+    seen there, and 41 of K4 -> T4's 3,961 pieces are such."""
+    build = scissors.build_decomposition
+
+    def dropped(g, seq):
+        d = build(g, seq)
+        return replace(d, pieces=d.pieces[1:])
+
+    monkeypatch.setattr(scissors, "build_decomposition", dropped)
+
+
+def _kill_an_implied_case(monkeypatch):
+    """_verdicts kills a child whose weak row is implied by the negated
+    normal's strict row, where it should skip the row."""
+    source = textwrap.dedent(inspect.getsource(scissors._verdicts))
+    old = "weak, zero | held | negated, ~zero & strict)\n    dead = np.where(weak, strict,"
+    new = "weak, zero | held, ~zero & strict)\n    dead = np.where(weak, strict | negated,"
+    assert source.count(old) == 1
+    namespace = dict(vars(scissors))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(scissors, "_verdicts", namespace["_verdicts"])
+
+
+def _theta_replay_differs() -> bool:
+    """Some point of theta -> dumbbell at t <= 4 maps elsewhere than the
+    move-by-move replay takes it."""
+    d = scissors.build_decomposition(theta(), graph_sequence(theta(), dumbbell()))
+    return not all(c.matches_replay for c in scissors.verify_decomposition(d, range(5)).dilations)
+
+
+def _k4_t4_cover_fails() -> bool:
+    """Some point of K4 at t <= 4 is claimed by no piece, or by two."""
+    d = scissors.build_decomposition(k4(), graph_sequence(k4(), t4()))
+    return not all(c.unique_cover for c in scissors.verify_decomposition(d, range(5)).dilations)
+
+
+def _k4_t4_six_moves_fail() -> bool:
+    """The build along the first six K4 -> T4 moves fails verification at
+    t <= 4.  (The frozen K4 -> T4 hash would catch the same mutant, at the
+    cost of a full build.)"""
+    seq = MoveSequence(graph_sequence(k4(), t4()).moves[:6])
+    d = scissors.build_decomposition(k4(), seq)
+    return not scissors.verify_decomposition(d, range(5)).ok
+
+
 def _wiring_fails() -> bool:
     """test_eliminate_matches_one_einsum fails on some network: a program
     differs from the one-einsum reference on a random symmetric tensor."""
@@ -89,6 +147,9 @@ MUTANTS = {
     "result-order": (_swap_result_axes, _wiring_fails),
     "flipped-metric-row": (_flip_metric_row, _first_count_raises),
     "catalog-skips-a-relabeling": (_skip_last_relabeling, _brute_force_differs),
+    "cases-b-c-swapped": (_swap_cases_b_and_c, _theta_replay_differs),
+    "k4-t4-piece-dropped": (_drop_a_piece, _k4_t4_cover_fails),
+    "split-kills-a-live-case": (_kill_an_implied_case, _k4_t4_six_moves_fail),
 }
 
 

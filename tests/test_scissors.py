@@ -1,5 +1,6 @@
 """Half-open decomposition: frozen small case plus structural checks."""
 import hashlib
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from trivalent import scissors
-from trivalent.catalog import dumbbell, k4, t4, theta
+from trivalent.catalog import connected_13_classes, dumbbell, k4, t4, theta
 from trivalent.counting import count_points
 from trivalent.exactlin import determinant
 from trivalent.graphs import GraphError, same_labeled_graph
@@ -21,7 +22,7 @@ from trivalent.scissors import (
     evaluate_piecewise,
     verify_decomposition,
 )
-from trivalent.weighted import replay_weighted
+from trivalent.weighted import CASES, replay_weighted, site_normals
 
 F = Fraction
 
@@ -196,19 +197,107 @@ def test_cover_chunks_agree(k4_t4, theta_decomposition, monkeypatch):
     assert verify_decomposition(theta_decomposition, range(7)) == reports[1]
 
 
+def _field_rule(weak, zero, held, strict, negated):
+    """The bookkeeping of one new row, one row at a time: (added, dead).
+    held, strict and negated say whether the rows present hold the row's
+    normal weak or strict, or its negation strict."""
+    if zero:
+        return False, not weak  # 0 >= 0 always holds, 0 < 0 never does
+    if weak:
+        if held or negated:  # identical, or implied by p > 0
+            return False, False
+        return not strict, strict  # p < 0 contradicts p >= 0
+    if strict:  # identical
+        return False, False
+    return not (held or negated), held or negated
+
+
+def test_verdicts_match_the_field_rules():
+    base = 4 * 3 + 2  # the negation of the fourth normal
+    for weak, zero, held, strict, negated in itertools.product((False, True), repeat=5):
+        present = [base] * held + [base + 1] * strict + [(base ^ 2) + 1] * negated
+        present = np.array([present + [-1] * (3 - len(present))], dtype=np.int32)
+        add, dead = scissors._verdicts(
+            np.array(weak), np.array([zero]), present, np.array([base], dtype=np.int32)
+        )
+        assert (add.item(), dead.item()) == _field_rule(weak, zero, held, strict, negated)
+
+
+def _split_one(h1, h2, m=3):
+    """The children bookkeeping leaves alive inside one unconstrained piece
+    (identity matrix, witness all ones), as (constraints, case)."""
+    normals = scissors._Normals(m)
+    _, case, codes, _ = scissors._split(
+        np.eye(m, dtype=np.int64)[None],
+        np.ones((1, m), dtype=np.int64),
+        np.zeros((1, 0), dtype=np.int64),
+        np.array([h1, h2], dtype=np.int64),
+        normals,
+    )
+    return [
+        ([normals.constraint(c) for c in row if c >= 0], list(CASES)[k])
+        for row, k in zip(codes.tolist(), case.tolist())
+    ]
+
+
 def test_children_classify_the_second_row_against_the_first():
     # a degenerate site: h2 equal to h1, or its negation
-    piece = scissors.Piece((), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 1, 1))
     n, neg = (1, -1, 0), (-1, 1, 0)
-    terms, opposite = [(0, 1), (1, -1)], [(0, -1), (1, 1)]
-    children = [(c, case) for c, case, _ in scissors._children(piece, terms, terms)]
-    assert children == [([(n, WEAK)], "A"), ([(n, STRICT)], "D")]
-    children = [(c, case) for c, case, _ in scissors._children(piece, terms, opposite)]
-    assert children == [
+    assert _split_one(n, n) == [([(n, WEAK)], "A"), ([(n, STRICT)], "D")]
+    assert _split_one(n, neg) == [
         ([(n, WEAK), (neg, WEAK)], "A"),
         ([(n, WEAK), (neg, STRICT)], "B"),
         ([(n, STRICT)], "C"),
     ]
+
+
+@pytest.mark.parametrize(
+    "key, source, target, moves",
+    [((2, 3), 0, 1, 1), ((2, 3), 1, 0, 1), ((4, 5), 1, 0, 7)],
+    ids=["zero-normal", "zero-normal-back", "equal-normals"],
+)
+def test_degenerate_sites(key, source, target, moves):
+    # a move of the (2, 3) class has a zero h1 or h2; one move of this
+    # (4, 5) sequence has h1 = h2
+    graphs = connected_13_classes(7)[key]
+    g1, g2 = graphs[source], graphs[target]
+    seq = graph_sequence(g1, g2)
+    assert len(seq.moves) == moves
+    sites, _ = scissors._sites(g1, seq.moves)
+    normals = [site_normals(site, g1.edges) for site in sites]
+    if key == (2, 3):
+        assert any(not any(h) for pair in normals for h in pair)
+    else:
+        assert any(h1 == h2 for h1, h2 in normals)
+    d = build_decomposition(g1, seq)
+    _check_every_piece(d)
+    assert verify_decomposition(d, range(5)).ok
+
+
+def test_object_arrays_give_the_same_pieces(monkeypatch):
+    # with the int64 bound at 1 every product runs on Python ints
+    sequences = [
+        (theta(), graph_sequence(theta(), dumbbell())),
+        (k4(), _first_moves(k4(), t4(), 6)),
+    ]
+    expected = [build_decomposition(g, seq).pieces for g, seq in sequences]
+    dtypes = []
+    exact = scissors._exact
+
+    def spy(*args):
+        out = exact(*args)
+        dtypes.extend(a.dtype for a in out)
+        return out
+
+    monkeypatch.setattr(scissors, "_INT64_BOUND", 1)
+    monkeypatch.setattr(scissors, "_exact", spy)
+    for (g, seq), pieces in zip(sequences, expected):
+        d = build_decomposition(g, seq)
+        assert d.pieces == pieces
+        entries = [x for p in d.pieces for vec, _ in p.constraints for x in vec]
+        entries += [x for p in d.pieces for row in (*p.matrix, p.witness) for x in row]
+        assert {type(x) for x in entries} == {int}
+    assert dtypes and set(dtypes) == {np.dtype(object)}
 
 
 def _satisfies(constraints, cone, x) -> bool:
@@ -221,6 +310,37 @@ def _satisfies(constraints, cone, x) -> bool:
     return all(dot(vec) <= 0 for vec in weak) and all(dot(vec) < 0 for vec in strict)
 
 
+def _batch(problems, m):
+    """The row tensor _float_lps and _certify take for problems (weak,
+    strict): each problem's weak rows, then its strict rows, then zero rows."""
+    width = max(len(weak) + len(strict) for weak, strict in problems)
+    rows = np.zeros((len(problems), width, m), dtype=np.int64)
+    for layer, (weak, strict) in zip(rows, problems):
+        layer[: len(weak) + len(strict)] = np.array([*weak, *strict]).reshape(-1, m)
+    nweak = np.array([len(weak) for weak, _ in problems])
+    return rows, nweak, np.array([len(strict) for _, strict in problems])
+
+
+def _problems(rows, nweak, nstrict):
+    """The (weak, strict) rows of each problem of a row tensor, as tuples."""
+    return [
+        ([tuple(r) for r in layer[:w]], [tuple(r) for r in layer[w : w + s]])
+        for layer, w, s in zip(rows.tolist(), nweak.tolist(), nstrict.tolist())
+    ]
+
+
+def _certify(children, cone, m=3):
+    """scissors._certify on constraint lists, through their row tensor."""
+    problems = [
+        (
+            cone + [tuple(-x for x in vec) for vec, s in c if s == WEAK],
+            [vec for vec, s in c if s == STRICT],
+        )
+        for c in children
+    ]
+    return scissors._certify(*_batch(problems, m))
+
+
 # theta's metric cone with w_1 > w_2 (nonempty), and with w_1 > w_2 + w_3,
 # which contradicts the metric row w_1 <= w_2 + w_3 (empty)
 NONEMPTY = [((-1, 1, 0), STRICT), ((0, 0, 1), WEAK)]
@@ -231,17 +351,22 @@ def _no_simplex(*args, **kwargs):
     raise AssertionError("the exact simplex ran")
 
 
+def _propose(*proposals):
+    """A stand-in for _float_lps that proposes the given answers."""
+    return lambda rows, nweak, nstrict: list(proposals)
+
+
 def test_certify_nonempty_gives_integer_point(monkeypatch):
     monkeypatch.setattr(scissors, "max_epsilon", _no_simplex)
     cone = scissors._cone_rows(theta())
-    [x] = scissors._certify([NONEMPTY], cone, 3)
+    [x] = _certify([NONEMPTY], cone)
     assert x is not None and all(type(v) is int for v in x)
     assert _satisfies(NONEMPTY, cone, x)
 
 
 def test_certify_empty_by_farkas(monkeypatch):
     monkeypatch.setattr(scissors, "max_epsilon", _no_simplex)
-    assert scissors._certify([EMPTY], scissors._cone_rows(theta()), 3) == [None]
+    assert _certify([EMPTY], scissors._cone_rows(theta())) == [None]
 
 
 def test_certify_falls_back_to_exact_simplex(monkeypatch):
@@ -252,13 +377,13 @@ def test_certify_falls_back_to_exact_simplex(monkeypatch):
         calls.append(args)
         return exact(*args, **kwargs)
 
-    monkeypatch.setattr(scissors, "_float_lps", lambda problems, m: [None] * len(problems))
+    monkeypatch.setattr(scissors, "_float_lps", lambda rows, nweak, nstrict: [None] * len(rows))
     monkeypatch.setattr(scissors, "max_epsilon", spy)
     cone = scissors._cone_rows(theta())
-    [x] = scissors._certify([NONEMPTY], cone, 3)
+    [x] = _certify([NONEMPTY], cone)
     assert x is not None and all(type(v) is int for v in x)
     assert _satisfies(NONEMPTY, cone, x)
-    assert scissors._certify([EMPTY], cone, 3) == [None]
+    assert _certify([EMPTY], cone) == [None]
     assert len(calls) == 2
 
 
@@ -268,10 +393,10 @@ def test_certify_scales_the_float_point(monkeypatch, den):
     # scales back to (3, 2, 2), and 17 does not, so it rounds to another
     # integer point of the cone; neither needs the exact simplex
     x = [3 / den, 2 / den, 2 / den]
-    monkeypatch.setattr(scissors, "_float_lps", lambda problems, m: [(0.5, x, [0.0])])
+    monkeypatch.setattr(scissors, "_float_lps", _propose((0.5, x, [0.0])))
     monkeypatch.setattr(scissors, "max_epsilon", _no_simplex)
     cone = scissors._cone_rows(theta())
-    [point] = scissors._certify([NONEMPTY], cone, 3)
+    [point] = _certify([NONEMPTY], cone)
     assert _satisfies(NONEMPTY, cone, point)
     assert (point == (3, 2, 2)) == (den == 13)
 
@@ -292,14 +417,16 @@ RAY_CASES = [
     "values, ray", RAY_CASES, ids=[f"values{i}" for i in range(len(RAY_CASES))]
 )
 def test_rays_match_round_on_edge_cases(monkeypatch, values, ray):
-    assert scissors._rays([None, (0.5, values, [])]) == [None, (True, ray)]
-    assert scissors._rays([(0.0, [0.0], values)]) == [(False, ray)]
+    is_point, k = scissors._rays([None, (0.5, values, [])], 3)
+    assert is_point.tolist() == [False, True] and k.tolist() == [[0, 0, 0], list(ray)]
+    is_point, k = scissors._rays([(0.0, [0.0], values)], 3)
+    assert is_point.tolist() == [False] and k.tolist() == [list(ray)]
     if not any(ray):
         # the zero vector certifies nothing, so the exact simplex decides
+        monkeypatch.setattr(scissors, "_float_lps", _propose((0.5, values, [])))
         monkeypatch.setattr(scissors, "max_epsilon", _no_simplex)
-        weak = scissors._cone_rows(theta())
         with pytest.raises(AssertionError, match="exact simplex"):
-            scissors._validate(weak, [(-1, 1, 0)], (True, ray), 3)
+            _certify([[((-1, 1, 0), STRICT)]], scissors._cone_rows(theta()))
 
 
 def test_wrong_reconstruction_goes_to_exact_simplex(monkeypatch):
@@ -316,11 +443,11 @@ def test_wrong_reconstruction_goes_to_exact_simplex(monkeypatch):
         return exact(*args, **kwargs)
 
     monkeypatch.setattr(scissors, "max_epsilon", spy)
-    monkeypatch.setattr(scissors, "_float_lps", lambda problems, m: [point])
-    [x] = scissors._certify([NONEMPTY], cone, 3)
+    monkeypatch.setattr(scissors, "_float_lps", _propose(point))
+    [x] = _certify([NONEMPTY], cone)
     assert x is not None and _satisfies(NONEMPTY, cone, x)
-    monkeypatch.setattr(scissors, "_float_lps", lambda problems, m: [farkas])
-    assert scissors._certify([EMPTY], cone, 3) == [None]
+    monkeypatch.setattr(scissors, "_float_lps", _propose(farkas))
+    assert _certify([EMPTY], cone) == [None]
     assert len(calls) == 2
 
 
@@ -365,13 +492,14 @@ def _first_moves(source, target, moves):
 
 
 def _recorded_lps(monkeypatch, source, seq):
-    """The build's decomposition and the nonempty LP batches it solved."""
+    """The build's decomposition and the nonempty LP batches it solved, each
+    as its list of problems (weak, strict)."""
     batches = []
     solve = scissors._float_lps
 
-    def record(problems, m):
-        batches.append(list(problems))
-        return solve(problems, m)
+    def record(rows, nweak, nstrict):
+        batches.append(_problems(rows, nweak, nstrict))
+        return solve(rows, nweak, nstrict)
 
     monkeypatch.setattr(scissors, "_float_lps", record)
     d = build_decomposition(source, seq)
@@ -387,11 +515,11 @@ def _rows(problem):
 def _assert_alone_and_together(problems, m):
     """Each problem alone matches the single-LP reference, and one shuffled
     batch of all of them gives the same answers."""
-    alone = [scissors._float_lps([p], m)[0] for p in problems]
+    alone = [scissors._float_lps(*_batch([p], m))[0] for p in problems]
     assert alone == [_dense_tableau(w, s, m) for w, s in problems]
     order = list(range(len(problems)))
     random.Random(7).shuffle(order)
-    together = scissors._float_lps([problems[i] for i in order], m)
+    together = scissors._float_lps(*_batch([problems[i] for i in order], m))
     assert together == [alone[i] for i in order]
 
 
@@ -421,17 +549,17 @@ def test_fallback_runs_only_for_the_failed_proposal(monkeypatch, source, target,
     failed = widest[len(widest) // 2]
     solve = scissors._float_lps
 
-    def fail_one(problems, m):
-        proposals = solve(problems, m)
-        if problems == widest:
-            proposals[len(problems) // 2] = None
+    def fail_one(rows, nweak, nstrict):
+        proposals = solve(rows, nweak, nstrict)
+        if _problems(rows, nweak, nstrict) == widest:
+            proposals[len(rows) // 2] = None
         return proposals
 
     exact_runs = []
     exact = scissors.max_epsilon
 
     def spy(weak, strict, *args, **kwargs):
-        exact_runs.append(([vec for vec, _ in weak], [vec for vec, _ in strict]))
+        exact_runs.append(([tuple(vec) for vec, _ in weak], [tuple(vec) for vec, _ in strict]))
         return exact(weak, strict, *args, **kwargs)
 
     monkeypatch.setattr(scissors, "_float_lps", fail_one)
@@ -446,34 +574,35 @@ def test_fallback_runs_only_for_the_failed_proposal(monkeypatch, source, target,
 
 @pytest.fixture(scope="module")
 def k4_t4_lps():
-    """Every LP batch of the full K4 -> T4 build and the proposals it got."""
+    """Every LP batch of the full K4 -> T4 build, as its row tensor, and the
+    proposals it got."""
     batches = []
     solve = scissors._float_lps
 
-    def record(problems, m):
-        proposals = solve(problems, m)
-        batches.append((list(problems), proposals))
+    def record(rows, nweak, nstrict):
+        proposals = solve(rows, nweak, nstrict)
+        batches.append(((rows, nweak, nstrict), proposals))
         return proposals
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scissors, "_float_lps", record)
         build_decomposition(k4(), graph_sequence(k4(), t4()))
-    return [(problems, proposals) for problems, proposals in batches if problems]
+    return [(batch, proposals) for batch, proposals in batches if len(batch[0])]
 
 
 def test_widest_full_build_batch_matches_solving_each_alone(k4_t4_lps):
-    problems, _ = max(k4_t4_lps, key=lambda batch: max(map(_rows, batch[0])))
+    (rows, nweak, nstrict), _ = max(k4_t4_lps, key=lambda b: (b[0][1] + b[0][2]).max())
+    problems = _problems(rows, nweak, nstrict)
     assert max(map(_rows, problems)) > 32  # wider than any batch of the first ten moves
     _assert_alone_and_together(problems, len(k4().edges))
 
 
 def test_scaled_rays_validate_without_simplex(k4_t4_lps, monkeypatch):
-    """Every K4 -> T4 proposal scales to a certificate that _validate accepts
+    """Every K4 -> T4 proposal scales to a certificate that _certify accepts
     in integers, so the exact simplex never runs there."""
     proposals = [p for _, batch in k4_t4_lps for p in batch]
     assert len(proposals) == 17660 and None not in proposals
     monkeypatch.setattr(scissors, "max_epsilon", _no_simplex)
-    m = len(k4().edges)
-    for problems, batch in k4_t4_lps:
-        for (weak, strict), ray in zip(problems, scissors._rays(batch), strict=True):
-            scissors._validate(weak, strict, ray, m)
+    for batch, proposals in k4_t4_lps:
+        monkeypatch.setattr(scissors, "_float_lps", _propose(*proposals))
+        scissors._certify(*batch)
