@@ -3,17 +3,40 @@
 Loops and parallel edges are first-class: a loop contributes 2 to the degree
 of its vertex and occupies two of its slots.  Graphs are immutable; every
 operation returns a new Graph.
+
+A Graph's maps (incidence, edge ids, adjacency, degrees, slots, components)
+are built lazily, once per instance, and cached without a lock.  A move
+(nni.replay) hands the Graph it builds the maps it already knows: its edge
+ends, its source's degrees and edge ids, and its source's slot map with only
+the touched vertices' entries replaced.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 
 class GraphError(ValueError):
     """Raised for malformed graphs, bad input files, or violated preconditions."""
+
+
+class _cached:
+    """A lazily computed attribute, stored in the instance's __dict__ on first
+    access; later reads find it there and skip this descriptor.  Unlike
+    CPython 3.11's functools.cached_property it takes no lock (3.12 dropped
+    the lock too).  A value may be placed in __dict__ before first access."""
+
+    def __init__(self, func: Callable):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -30,15 +53,15 @@ class Graph:
 
     # -- basic accessors ---------------------------------------------------
 
-    @cached_property
+    @_cached
     def incidence(self) -> dict[int, tuple[int, int]]:
         return {e: (u, v) for e, u, v in self.edge_list}
 
-    @cached_property
+    @_cached
     def edges(self) -> tuple[int, ...]:
         return tuple(e for e, _, _ in self.edge_list)
 
-    @cached_property
+    @_cached
     def adjacency(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """vertex -> tuple of (edge_id, other_end), sorted by edge id.
 
@@ -53,7 +76,7 @@ class Graph:
                 adj[v].append((e, u))
         return {v: tuple(sorted(pairs)) for v, pairs in adj.items()}
 
-    @cached_property
+    @_cached
     def degrees(self) -> dict[int, int]:
         deg = {v: 0 for v in self.vertex_ids}
         for e, u, v in self.edge_list:
@@ -67,7 +90,7 @@ class Graph:
         except KeyError:
             raise GraphError(f"no edge with id {e}") from None
 
-    @cached_property
+    @_cached
     def _slot_map(self) -> dict[int, tuple[int, ...]]:
         """vertex -> sorted multiset of its edge ids, built in one pass."""
         out: dict[int, list[int]] = {v: [] for v in self.vertex_ids}
@@ -97,7 +120,7 @@ class Graph:
 
     # -- structure ---------------------------------------------------------
 
-    @cached_property
+    @_cached
     def components(self) -> tuple[frozenset[int], ...]:
         """Vertex sets of the connected components, by their lowest vertex."""
         remaining = set(self.vertex_ids)

@@ -14,6 +14,7 @@ are matched up by an explicit relabeling bijection (graph_sequence).
 from __future__ import annotations
 
 import json
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -103,60 +104,83 @@ def _int_lists(payload: dict, key: str, length: int) -> list[list[int]]:
 
 
 def apply_nni(g: Graph, trail: Trail) -> Graph:
-    """Apply one move; raises NniError if the trail is illegal on g."""
+    """Apply one move; raises NniError if the trail is illegal on g.
+
+    The Graph returned carries g's degrees and edge ids, and g's slot map
+    with the entries of u and v replaced (see replay).
+    """
     return replay(g, (trail,))
 
 
 def replay(g: Graph, moves: MoveSequence | Iterable[Trail]) -> Graph:
     """Apply a whole sequence of moves (the relabel, if any, is NOT applied).
 
-    The moves run on one mutable edge -> ends map; one Graph is built at the
-    end.  Raises NniError at the first illegal trail.
+    The moves run on one mutable edge -> ends map and update the slot
+    multisets of the vertices they touch; one Graph is built at the end.  It
+    is handed its maps instead of rebuilding them: the ends map as its
+    incidence, g's degrees and edge ids (a move keeps both), and g's slot map
+    with the touched vertices' entries replaced.  Raises NniError at the
+    first illegal trail.
     """
     if isinstance(moves, MoveSequence):
         moves = moves.moves
     ends = {e: (p, q) for e, p, q in g.edge_list}
+    base = g._slot_map
+    touched: dict[int, list[int]] = {}
     for trail in moves:
         _slide(ends, trail)
-    return _graph(g.vertex_ids, ends)
+        a, u, v, b = trail.a, trail.u, trail.v, trail.b
+        if u not in touched:
+            touched[u] = list(base[u])
+        if v not in touched:
+            touched[v] = list(base[v])
+        at_u, at_v = touched[u], touched[v]
+        at_u.remove(a)
+        insort(at_v, a)
+        at_v.remove(b)
+        insort(at_u, b)
+    h = _graph(g.vertex_ids, ends)
+    slot_map = dict(base)
+    for x, slots in touched.items():
+        slot_map[x] = tuple(slots)
+    vars(h).update(incidence=ends, edges=g.edges, degrees=g.degrees, _slot_map=slot_map)
+    return h
 
 
 def _slide(ends: dict[int, tuple[int, int]], trail: Trail) -> None:
-    """Check one trail against an edge -> (lo, hi) map and apply it in place."""
+    """Check one trail against an edge -> (lo, hi) map and apply it in place:
+    a's u-end moves to v and b's v-end to u (a loop moves one of its ends)."""
     a, u, e, v, b = trail.a, trail.u, trail.e, trail.v, trail.b
-    if e not in ends:
+    pivot = ends.get(e)
+    if pivot is None:
         raise NniError(f"pivot edge {e} does not exist")
-    pu, pv = ends[e]
+    pu, pv = pivot
     if pu == pv:
         raise NniError(f"pivot edge {e} is a loop")
-    if {pu, pv} != {u, v}:
+    if not ((pu == u and pv == v) or (pu == v and pv == u)):
         raise NniError(f"pivot edge {e} joins {pu},{pv}, not {u},{v}")
-    if len({a, e, b}) != 3:
+    if a == e or b == e or a == b:
         raise NniError(f"edges a={a}, e={e}, b={b} must be pairwise distinct")
-    if u not in _ends(ends, a):
+    at_a = ends.get(a)
+    if at_a is None:
+        raise NniError(f"edge {a} does not exist")
+    p, q = at_a
+    if u != p and u != q:
         raise NniError(f"edge {a} has no end at vertex {u}")
-    if v not in _ends(ends, b):
+    at_b = ends.get(b)
+    if at_b is None:
+        raise NniError(f"edge {b} does not exist")
+    r, s = at_b
+    if v != r and v != s:
         raise NniError(f"edge {b} has no end at vertex {v}")
-    ends[a] = _moved(ends[a], u, v)
-    ends[b] = _moved(ends[b], v, u)
-
-
-def _ends(ends: dict[int, tuple[int, int]], e: int) -> tuple[int, int]:
-    try:
-        return ends[e]
-    except KeyError:
-        raise NniError(f"edge {e} does not exist") from None
-
-
-def _moved(pair: tuple[int, int], src: int, dst: int) -> tuple[int, int]:
-    """The ends of an edge after its src end moves to dst (one end of a loop)."""
-    p, q = pair
-    keep = q if p == src else p
-    return (keep, dst) if keep <= dst else (dst, keep)
+    keep = q if p == u else p
+    ends[a] = (keep, v) if keep <= v else (v, keep)
+    keep = s if r == v else r
+    ends[b] = (keep, u) if keep <= u else (u, keep)
 
 
 def _graph(vertex_ids: frozenset[int], ends: dict[int, tuple[int, int]]) -> Graph:
-    return Graph(vertex_ids, tuple((e, p, q) for e, (p, q) in ends.items()))
+    return Graph(vertex_ids, tuple([(e, p, q) for e, (p, q) in ends.items()]))
 
 
 def reverse_sequence(seq: MoveSequence) -> MoveSequence:

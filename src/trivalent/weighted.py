@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .exactlin import IntMatrix, identity, primitive
@@ -137,12 +138,21 @@ def apply_weighted_nni(
 def replay_weighted(
     g: Graph, w: Mapping[int, Fraction], moves: Iterable[Trail]
 ) -> tuple[Graph, Weighting]:
-    out = {e: Fraction(x) for e, x in w.items()}
+    """Apply the moves to g and carry w along them, move by move.
+
+    w is scaled once by the lcm of its denominators, so the moves run in
+    integers; the result is divided back into Fractions at the end.  This is
+    exact: weight_delta uses only +, - and max, which commute with scaling by
+    a positive integer.
+    """
+    fractions = {e: Fraction(x) for e, x in w.items()}
+    scale = lcm(*(x.denominator for x in fractions.values()))
+    out = {e: x.numerator * (scale // x.denominator) for e, x in fractions.items()}
     for trail in moves:
         site = resolve_site(g, trail)
         out[trail.e] += weight_delta(site, out)
         g = apply_nni(g, trail)
-    return g, out
+    return g, {e: Fraction(x, scale) for e, x in out.items()}
 
 
 def case_of(site: NniSite, w: Mapping[int, Fraction]) -> str:

@@ -87,6 +87,21 @@ def test_wnni_apply(capsys):
     assert payload["case"] in "ABCD"
 
 
+def test_wnni_apply_rational_stdout_is_pinned(capsys):
+    code, out = run(
+        capsys, "wnni", "apply", "k4",
+        "--weights", "1/2,1/3,1/4,1/5,1/6,1/7", "--trail", "2,1,1,2,4",
+    )
+    assert code == 0
+    assert out == (
+        '{\n  "case": "A",\n'
+        '  "graph": "v 4\\ne 1 1 2\\ne 2 2 3\\ne 3 1 4\\ne 4 1 3\\ne 5 2 4\\ne 6 3 4\\n",\n'
+        '  "pivot": 1,\n  "weights": {\n'
+        '    "1": "7/12",\n    "2": "1/3",\n    "3": "1/4",\n'
+        '    "4": "1/5",\n    "5": "1/6",\n    "6": "1/7"\n  }\n}\n'
+    )
+
+
 def test_wnni_apply_named_weights(capsys):
     payload = run_json(
         capsys, "wnni", "apply", "theta",

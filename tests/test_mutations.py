@@ -13,7 +13,9 @@ import pytest
 
 import trivalent.catalog as catalog
 import trivalent.counting as counting
+import trivalent.nni as nni
 import trivalent.scissors as scissors
+import trivalent.weighted as weighted
 from trivalent.catalog import dumbbell, k4, t4, theta
 from trivalent.counting import count_elimination
 from trivalent.nni import MoveSequence, graph_sequence
@@ -21,7 +23,14 @@ from trivalent.weighted import CASES
 
 import test_catalog
 import test_counting
+import test_nni
+import test_weighted
 from test_counting import CENSUS, NETWORKS
+
+# Inputs the move and transport checks read, made before any patch: under
+# a mutant replay, graph_sequence itself fails.
+K4_T4_MOVES = graph_sequence(k4(), t4()).moves
+RATIONAL_TRANSPORTS = test_weighted.census_transports(with_points=False)
 
 
 def _clear_caches():
@@ -89,6 +98,44 @@ def _kill_an_implied_case(monkeypatch):
     monkeypatch.setattr(scissors, "_verdicts", namespace["_verdicts"])
 
 
+def _move_one_slot(monkeypatch):
+    """replay's slot map moves a's slot from u to v but leaves b's at v."""
+    source = textwrap.dedent(inspect.getsource(nni.replay))
+    old = "        at_v.remove(b)\n        insort(at_u, b)\n"
+    assert source.count(old) == 1
+    namespace = dict(vars(nni))
+    exec(source.replace(old, ""), namespace)
+    monkeypatch.setattr(nni, "replay", namespace["replay"])
+
+
+def _keep_the_scale(monkeypatch):
+    """replay_weighted returns its integer weights without dividing by the
+    scale."""
+    source = textwrap.dedent(inspect.getsource(weighted.replay_weighted))
+    old = "Fraction(x, scale)"
+    assert source.count(old) == 1
+    namespace = dict(vars(weighted))
+    exec(source.replace(old, "Fraction(x)"), namespace)
+    monkeypatch.setattr(weighted, "replay_weighted", namespace["replay_weighted"])
+
+
+def _seeded_maps_differ() -> bool:
+    """Some Graph a K4 -> T4 move builds carries maps other than a rebuilt
+    Graph's (test_moves_hand_on_maps_equal_to_rebuilt_ones, on one pair)."""
+    try:
+        test_nni.assert_moves_hand_on_fresh_maps(k4(), K4_T4_MOVES)
+    except AssertionError:
+        return True
+    return False
+
+
+def _rational_transport_differs() -> bool:
+    """Some census pair carries seeded rational weights elsewhere than the
+    Fraction loop does (test_rational_transport_matches_the_fraction_loop,
+    without its lattice points)."""
+    return test_weighted.transport_differs(RATIONAL_TRANSPORTS)
+
+
 def _theta_replay_differs() -> bool:
     """Some point of theta -> dumbbell at t <= 4 maps elsewhere than the
     move-by-move replay takes it."""
@@ -150,6 +197,8 @@ MUTANTS = {
     "cases-b-c-swapped": (_swap_cases_b_and_c, _theta_replay_differs),
     "k4-t4-piece-dropped": (_drop_a_piece, _k4_t4_cover_fails),
     "split-kills-a-live-case": (_kill_an_implied_case, _k4_t4_six_moves_fail),
+    "replay-moves-one-slot": (_move_one_slot, _seeded_maps_differ),
+    "weights-keep-their-scale": (_keep_the_scale, _rational_transport_differs),
 }
 
 

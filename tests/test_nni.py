@@ -99,12 +99,51 @@ def test_apply_nni_rejects_illegal_trails():
         replay(g, [Trail(1, 1, 3, 2, 2), Trail(3, 1, 1, 1, 3)])
 
 
+def assert_maps_are_fresh(h):
+    """The maps a move handed to h equal those a fresh Graph builds."""
+    assert {"incidence", "edges", "degrees", "_slot_map"} <= vars(h).keys()
+    fresh = Graph(h.vertex_ids, h.edge_list)
+    assert h.incidence == fresh.incidence
+    assert h.edges == fresh.edges
+    assert h.degrees == fresh.degrees
+    assert all(h.slots(v) == fresh.slots(v) for v in fresh.vertex_ids)
+    assert h.adjacency == fresh.adjacency
+    assert h.components == fresh.components
+
+
+def assert_moves_hand_on_fresh_maps(g, moves):
+    """Each Graph apply_nni builds along moves, and the one replay builds,
+    carries maps equal to rebuilt ones.  Reads nni's functions from the
+    module, so a patched replay is the one tested."""
+    h = g
+    for trail in moves:
+        h = nni.apply_nni(h, trail)
+        assert_maps_are_fresh(h)
+    assert_maps_are_fresh(nni.replay(g, moves))
+
+
+def test_moves_hand_on_maps_equal_to_rebuilt_ones():
+    pairs = [
+        (g1, g2) for group in connected_13_classes(7).values() for g1 in group for g2 in group
+    ]
+    sequences = [
+        (g1, graph_sequence(g1, g2, restrict_to_spanning_trees=restrict))
+        for g1, g2 in pairs for restrict in (False, True)
+    ]
+    sequences.append((k4(), graph_sequence(k4(), t4())))
+    assert len(sequences) == 2 * 136 + 1
+    for g, seq in sequences:
+        assert_moves_hand_on_fresh_maps(g, seq.moves)
+    assert sum(len(seq.moves) for _, seq in sequences) > 2000
+
+
 def test_replay_matches_reference_on_every_legal_move():
     made = broken = 0
     for g in _replay_cases():
         for trail in legal_trails(g):
             h = apply_nni(g, trail)
             assert h == reference_replay(g, [trail]), (g, trail)
+            assert_maps_are_fresh(h)
             made += _loops(h) > _loops(g)
             broken += _loops(h) < _loops(g)
     assert made and broken  # moves that make and break loops were covered

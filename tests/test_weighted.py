@@ -1,14 +1,18 @@
 """Weighted NNI: the max-formula pivot update and its case analysis."""
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trivalent.catalog import dumbbell, theta
+from trivalent import weighted
+from trivalent.catalog import connected_13_classes, dumbbell, theta, tree_two_internal
+from trivalent.counting import iter_lattice_points
 from trivalent.exactlin import determinant
 from trivalent.graphs import make_graph, same_labeled_graph
-from trivalent.nni import Trail, graph_sequence
+from trivalent.nni import NniError, Trail, apply_nni, graph_sequence, replay
+from trivalent.polytope import inequality_system
 from trivalent.scissors import build_decomposition, verify_decomposition
 from trivalent.weighted import (
     CASES,
@@ -105,6 +109,132 @@ def test_swapping_cases_b_and_c_is_caught(monkeypatch, swapped):
             check_piecewise_matches_max(g, trail, w)
     else:
         check_piecewise_matches_max(g, trail, w)
+
+
+# Every NniError of a move: (graph, trail, the slide's message, resolve_site's
+# message), None where that check passes.  replay_weighted resolves the site
+# before it slides, so the site's message comes first.
+MOVE_ERRORS = {
+    "missing pivot": (
+        theta(), Trail(1, 1, 9, 2, 2),
+        "pivot edge 9 does not exist", "pivot edge 9 does not exist",
+    ),
+    "loop pivot": (
+        dumbbell(), Trail(3, 1, 1, 1, 3),
+        "pivot edge 1 is a loop", "edge 1 is not a pivot between 1 and 1",
+    ),
+    "pivot elsewhere": (
+        tree_two_internal(), Trail(2, 1, 1, 3, 4),
+        "pivot edge 1 joins 1,2, not 1,3", "edge 1 is not a pivot between 1 and 3",
+    ),
+    "a is e": (
+        theta(), Trail(1, 1, 1, 2, 2),
+        "edges a=1, e=1, b=2 must be pairwise distinct", "edge 1 has no slot at vertex 1",
+    ),
+    "b is e": (
+        theta(), Trail(1, 1, 2, 2, 2),
+        "edges a=1, e=2, b=2 must be pairwise distinct", "edge 2 has no slot at vertex 2",
+    ),
+    "a is b": (
+        theta(), Trail(1, 1, 3, 2, 1),
+        "edges a=1, e=3, b=1 must be pairwise distinct", None,
+    ),
+    "missing a": (
+        theta(), Trail(9, 1, 3, 2, 2),
+        "edge 9 does not exist", "edge 9 has no slot at vertex 1",
+    ),
+    "missing b": (
+        theta(), Trail(1, 1, 3, 2, 9),
+        "edge 9 does not exist", "edge 9 has no slot at vertex 2",
+    ),
+    "a not at u": (
+        dumbbell(), Trail(1, 2, 3, 1, 2),
+        "edge 1 has no end at vertex 2", "edge 1 has no slot at vertex 2",
+    ),
+    "b not at v": (
+        tree_two_internal(), Trail(2, 1, 1, 2, 3),
+        "edge 3 has no end at vertex 2", "edge 3 has no slot at vertex 2",
+    ),
+    "degree 4 at u": (
+        make_graph([(1, 1, 2), (2, 1, 3), (3, 1, 4), (4, 1, 5), (5, 2, 6), (6, 2, 7)]),
+        Trail(2, 1, 1, 2, 5),
+        None, "pivot endpoint 1 has degree 4; weighted moves need degree 3",
+    ),
+    "degree 2 at v": (
+        make_graph([(1, 1, 2), (2, 1, 3), (3, 1, 4), (4, 2, 5)]),
+        Trail(2, 1, 1, 2, 4),
+        None, "pivot endpoint 2 has degree 2; weighted moves need degree 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MOVE_ERRORS)
+def test_move_errors_keep_their_messages(name):
+    g, trail, slide, site = MOVE_ERRORS[name]
+    w = as_weighting(g, [1] * len(g.edges))
+    for call, message in (
+        (lambda: apply_nni(g, trail), slide),
+        (lambda: replay(g, [trail]), slide),
+        (lambda: resolve_site(g, trail), site),
+        (lambda: replay_weighted(g, w, [trail]), site or slide),
+    ):
+        if message is None:
+            call()
+            continue
+        with pytest.raises(NniError) as caught:
+            call()
+        assert str(caught.value) == message
+
+
+def fraction_replay(g, w, moves):
+    """replay_weighted as one Fraction update per move: the oracle."""
+    out = {e: Fraction(x) for e, x in w.items()}
+    for trail in moves:
+        out[trail.e] += weight_delta(resolve_site(g, trail), out)
+        g = apply_nni(g, trail)
+    return g, out
+
+
+def census_transports(with_points=True):
+    """(g1, weighting, moves) for each ordered census-7 pair: three seeded
+    rational weightings of g1 (denominators 2 to 12), then, with_points,
+    every lattice point of g1 at t = 7/2."""
+    rng = random.Random(32)
+    out = []
+    for group in connected_13_classes(7).values():
+        for g1 in group:
+            weightings = [
+                [Fraction(rng.randint(-40, 40), rng.randint(2, 12)) for _ in g1.edges]
+                for _ in range(3)
+            ]
+            if with_points:
+                weightings += iter_lattice_points(inequality_system(g1), Fraction(7, 2))
+            for g2 in group:
+                moves = graph_sequence(g1, g2).moves
+                out += [(g1, dict(zip(g1.edges, w)), moves) for w in weightings]
+    return out
+
+
+def transport_differs(transports) -> bool:
+    """Some transport returns a weight that is not a Fraction, or leaves the
+    Fraction oracle's result: another graph, or weights of other values or
+    order.  Reads replay_weighted from the module, so a patched one is the
+    one tested."""
+    for g, w, moves in transports:
+        h, out = weighted.replay_weighted(g, w, moves)
+        h0, expect = fraction_replay(g, w, moves)
+        if any(type(x) is not Fraction for x in out.values()):
+            return True
+        if h != h0 or pickle.dumps(out) != pickle.dumps(expect):
+            return True
+    return False
+
+
+def test_rational_transport_matches_the_fraction_loop():
+    transports = census_transports()
+    assert len(transports) == 3 * 136 + 2755
+    assert any(x.denominator > 1 for _, w, _ in transports for x in w.values())
+    assert not transport_differs(transports)
 
 
 @st.composite
